@@ -703,25 +703,25 @@ Metrics perLayer(const Round& round, const SpanRecorder& recorder,
   }
 
   Metrics m;
-  const auto count = [&](const std::string& name, double v, const char* unit = "count") {
+  const auto set = [&](const std::string& name, double v, const char* unit = "count") {
     m[name] = {unit, v, ""};
   };
-  count("workloads.gen_s", selfOf(SpanKind::WorkloadGen), "s");
-  count("region.footprints_s", selfOf(SpanKind::Footprints), "s");
-  count("region.sharing_build_s", selfOf(SpanKind::SharingBuild), "s");
-  count("layout.conflict_s", selfOf(SpanKind::Conflict), "s");
-  count("layout.relayout_s", selfOf(SpanKind::Relayout), "s");
-  count("sched.plan_s", selfOf(SpanKind::Plan), "s");
-  count("sched.policy_s", policyS, "s");
-  count("sched.pick_s", selfOf(SpanKind::PickNext), "s");
-  count("sched.arrival_s", selfOf(SpanKind::OnArrival), "s");
-  count("sched.exit_s", selfOf(SpanKind::OnExit), "s");
-  count("sched.pick_calls", static_cast<double>(pickCalls));
-  count("sched.pick_empty_share",
+  set("workloads.gen_s", selfOf(SpanKind::WorkloadGen), "s");
+  set("region.footprints_s", selfOf(SpanKind::Footprints), "s");
+  set("region.sharing_build_s", selfOf(SpanKind::SharingBuild), "s");
+  set("layout.conflict_s", selfOf(SpanKind::Conflict), "s");
+  set("layout.relayout_s", selfOf(SpanKind::Relayout), "s");
+  set("sched.plan_s", selfOf(SpanKind::Plan), "s");
+  set("sched.policy_s", policyS, "s");
+  set("sched.pick_s", selfOf(SpanKind::PickNext), "s");
+  set("sched.arrival_s", selfOf(SpanKind::OnArrival), "s");
+  set("sched.exit_s", selfOf(SpanKind::OnExit), "s");
+  set("sched.pick_calls", static_cast<double>(pickCalls));
+  set("sched.pick_empty_share",
         pickCalls == 0 ? 0.0 : static_cast<double>(pickEmpty) / static_cast<double>(pickCalls),
         "share");
-  count("sim.run_s", runS, "s");
-  count("sim.engine_self_s", selfOf(SpanKind::SimRun), "s");
+  set("sim.run_s", runS, "s");
+  set("sim.engine_self_s", selfOf(SpanKind::SimRun), "s");
 
   double liveS = 0.0, replayS = 0.0, relayouted = 0.0;
   std::uint64_t liveOps = 0;
@@ -773,34 +773,34 @@ Metrics perLayer(const Round& round, const SpanRecorder& recorder,
     addSojourn(m, "sim.", "." + label, policyResults[label]);
   }
 
-  count("region.sharing_live_s", liveS, "s");
-  count("region.sharing_live_ops", static_cast<double>(liveOps));
-  count("region.sharing_nonzero_share", sharingNonzeroShare, "share");
-  count("layout.relayouted_arrays", relayouted);
-  count("sched.decisions", static_cast<double>(ps.decisions));
-  count("sched.rebuilds", static_cast<double>(ps.rebuilds));
-  count("sched.patches", static_cast<double>(ps.patches));
-  count("sched.steals", static_cast<double>(ps.steals));
-  count("sim.context_switches", static_cast<double>(sum.contextSwitches));
-  count("sim.preemptions", static_cast<double>(sum.preemptions));
-  count("sim.migrations", static_cast<double>(sum.migrations));
-  count("sim.switch_overhead_cycles", static_cast<double>(sum.switchOverheadCycles), "cycles");
-  count("sim.core_idle_share", coreCycles > 0 ? idleCycles / coreCycles : 0.0, "share");
-  count("trace.replay_isolated_s", replayS, "s");
-  count("cache.l1d_accesses", static_cast<double>(sum.dcacheTotal.accesses));
-  count("cache.l1d_misses", static_cast<double>(sum.dcacheTotal.misses));
-  count("cache.l1d_conflict_misses", static_cast<double>(sum.dataMisses.conflict));
-  count("cache.l1i_misses", static_cast<double>(sum.icacheTotal.misses));
-  count("cache.l2_accesses", static_cast<double>(sum.l2Total.accesses));
-  count("cache.l2_misses", static_cast<double>(sum.l2Total.misses));
-  count("cache.l2_bank_wait_cycles", static_cast<double>(sum.l2BankWaitCycles), "cycles");
-  count("cache.noc_transfers", static_cast<double>(sum.nocTransfers));
-  count("cache.noc_hop_cycles", static_cast<double>(sum.nocHopCycles), "cycles");
-  count("cache.noc_link_wait_cycles", static_cast<double>(sum.nocLinkWaitCycles), "cycles");
-  count("cache.noc_migration_penalty_cycles",
+  set("region.sharing_live_s", liveS, "s");
+  set("region.sharing_live_ops", static_cast<double>(liveOps));
+  set("region.sharing_nonzero_share", sharingNonzeroShare, "share");
+  set("layout.relayouted_arrays", relayouted);
+  set("sched.decisions", static_cast<double>(ps.decisions));
+  set("sched.rebuilds", static_cast<double>(ps.rebuilds));
+  set("sched.patches", static_cast<double>(ps.patches));
+  set("sched.steals", static_cast<double>(ps.steals));
+  set("sim.context_switches", static_cast<double>(sum.contextSwitches));
+  set("sim.preemptions", static_cast<double>(sum.preemptions));
+  set("sim.migrations", static_cast<double>(sum.migrations));
+  set("sim.switch_overhead_cycles", static_cast<double>(sum.switchOverheadCycles), "cycles");
+  set("sim.core_idle_share", coreCycles > 0 ? idleCycles / coreCycles : 0.0, "share");
+  set("trace.replay_isolated_s", replayS, "s");
+  set("cache.l1d_accesses", static_cast<double>(sum.dcacheTotal.accesses));
+  set("cache.l1d_misses", static_cast<double>(sum.dcacheTotal.misses));
+  set("cache.l1d_conflict_misses", static_cast<double>(sum.dataMisses.conflict));
+  set("cache.l1i_misses", static_cast<double>(sum.icacheTotal.misses));
+  set("cache.l2_accesses", static_cast<double>(sum.l2Total.accesses));
+  set("cache.l2_misses", static_cast<double>(sum.l2Total.misses));
+  set("cache.l2_bank_wait_cycles", static_cast<double>(sum.l2BankWaitCycles), "cycles");
+  set("cache.noc_transfers", static_cast<double>(sum.nocTransfers));
+  set("cache.noc_hop_cycles", static_cast<double>(sum.nocHopCycles), "cycles");
+  set("cache.noc_link_wait_cycles", static_cast<double>(sum.nocLinkWaitCycles), "cycles");
+  set("cache.noc_migration_penalty_cycles",
         static_cast<double>(sum.nocMigrationPenaltyCycles), "cycles");
-  count("cache.dir_inv_sent", static_cast<double>(sum.directoryInvalidationsSent));
-  count("cache.dir_inv_filtered", static_cast<double>(sum.directoryInvalidationsFiltered));
+  set("cache.dir_inv_sent", static_cast<double>(sum.directoryInvalidationsSent));
+  set("cache.dir_inv_filtered", static_cast<double>(sum.directoryInvalidationsFiltered));
   return m;
 }
 
@@ -825,15 +825,6 @@ Metrics medianOf(const std::vector<Metrics>& all) {
     std::vector<double> values;
     for (const Metrics& m : all) values.push_back(m.at(name).value);
     metric.value = median(values);
-  }
-  return out;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
   }
   return out;
 }
@@ -1028,7 +1019,7 @@ int run(const Options& o) {
        << ", \"metrics\": {";
   bool firstMetric = true;
   for (const auto& [name, metric] : metrics) {
-    json << (firstMetric ? "" : ", ") << '"' << jsonEscape(name)
+    json << (firstMetric ? "" : ", ") << '"' << name
          << "\": {\"value\": " << metric.value << ", \"unit\": \"" << metric.unit
          << "\"}";
     firstMetric = false;
