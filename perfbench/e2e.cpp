@@ -17,10 +17,12 @@
 /// The last line of standard output is one JSON object:
 ///   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,7 +67,7 @@ constexpr std::uint64_t kDefaultSeed = 1;
 /// Pooling the instances keeps a run's figures from hinging on one
 /// seed's burstiness.
 constexpr std::size_t kSvcInstances = 16;
-constexpr std::size_t kNocInstances = 24;
+constexpr std::size_t kNocInstances = 32;
 constexpr std::size_t kTinyInstances = 2;
 
 std::uint64_t instanceSeed(std::uint64_t seed, std::size_t j) {
@@ -88,6 +90,11 @@ struct WorkloadSpec {
   std::string name;
   bool seeded = true;
   std::vector<Instance> instances;
+  /// Set-up-only batches each instance runs in every untraced round,
+  /// just before its full batch, so that set-up samples are spread over
+  /// the budget. Set-up is short next to the run, so the extra samples
+  /// cost little of the budget.
+  std::size_t setupRepeats = 0;
 };
 
 ArrivalSchedule perProcessPareto(std::uint64_t seed, std::int64_t meanGap) {
@@ -102,7 +109,7 @@ ArrivalSchedule perProcessPareto(std::uint64_t seed, std::int64_t meanGap) {
 /// Keyed service requests past the saturation knee: deep ready queues,
 /// so policy callbacks dominate MpsocSimulator::run.
 WorkloadSpec svcOverload(std::uint64_t seed, bool tiny) {
-  WorkloadSpec spec{"svc-overload", true, {}};
+  WorkloadSpec spec{"svc-overload", true, {}, 8};
   for (std::size_t j = 0; j < (tiny ? kTinyInstances : kSvcInstances); ++j) {
     ServiceWorkloadParams params;
     params.seed = instanceSeed(seed, j);
@@ -133,13 +140,14 @@ WorkloadSpec closedMix(bool tiny) {
       {Instance{[apps] { return concurrentScenario(standardSuite(), apps); },
                 {Arm{"RRS", SchedulerKind::RoundRobin, config},
                  Arm{"LS", SchedulerKind::Locality, config},
-                 Arm{"LSM", SchedulerKind::LocalityMapping, config}}}}};
+                 Arm{"LSM", SchedulerKind::LocalityMapping, config}}}},
+      1};
 }
 
 /// The largest arm of bench_noc: a directory-coherent 8x8 mesh with
 /// 32-byte links under preemptive, hop-weighted OLS.
 WorkloadSpec nocMesh(std::uint64_t seed, bool tiny) {
-  WorkloadSpec spec{"noc-mesh", true, {}};
+  WorkloadSpec spec{"noc-mesh", true, {}, 8};
   for (std::size_t j = 0; j < (tiny ? kTinyInstances : kNocInstances); ++j) {
     ServiceWorkloadParams params;
     params.seed = instanceSeed(seed, j);
@@ -598,9 +606,12 @@ double peakRssMb() {
 
 /// \p prefix + "sojourn_p50_cycles" + \p suffix and the p99 twin: each
 /// experiment's exact nearest-rank percentile over its own sojourns,
-/// averaged over \p results. Pooling the samples instead would let the
-/// burstiest instance set the tail. The note gives the sample counts and
-/// the fewest samples any experiment has beyond its p99.
+/// then the geometric mean over \p results. Per-experiment p99s are
+/// heavy-tailed (20k to 135k cycles on noc-mesh), so pooling the samples
+/// or taking the arithmetic mean would let the burstiest instance set
+/// the figure; the geometric mean weighs each experiment by ratio. The
+/// note gives the sample counts and the fewest samples any experiment
+/// has beyond its p99.
 void addSojourn(Metrics& m, const std::string& prefix, const std::string& suffix,
                 const std::vector<const SimResult*>& results) {
   const std::string p50Name = prefix + "sojourn_p50_cycles" + suffix;
@@ -610,24 +621,24 @@ void addSojourn(Metrics& m, const std::string& prefix, const std::string& suffix
     m[p99Name] = {"cycles", 0.0, "not in batch"};
     return;
   }
-  double p50Sum = 0.0, p99Sum = 0.0;
+  double p50LogSum = 0.0, p99LogSum = 0.0;
   std::size_t fewestSamples = std::numeric_limits<std::size_t>::max();
   std::size_t fewestBeyond = fewestSamples;
   for (const SimResult* r : results) {
     const std::vector<std::int64_t> samples = sojourns(*r);
     const std::int64_t p99 = percentileNearestRank(samples, 99);
-    p50Sum += static_cast<double>(percentileNearestRank(samples, 50));
-    p99Sum += static_cast<double>(p99);
+    p50LogSum += std::log(static_cast<double>(percentileNearestRank(samples, 50)));
+    p99LogSum += std::log(static_cast<double>(p99));
     const auto beyond = static_cast<std::size_t>(std::count_if(
         samples.begin(), samples.end(), [&](std::int64_t v) { return v > p99; }));
     fewestSamples = std::min(fewestSamples, samples.size());
     fewestBeyond = std::min(fewestBeyond, beyond);
   }
   const auto k = static_cast<double>(results.size());
-  const std::string n = "mean of " + std::to_string(results.size()) +
+  const std::string n = "geometric mean of " + std::to_string(results.size()) +
                         " experiments, n>=" + std::to_string(fewestSamples) + " each";
-  m[p50Name] = {"cycles", p50Sum / k, n};
-  m[p99Name] = {"cycles", p99Sum / k,
+  m[p50Name] = {"cycles", std::exp(p50LogSum / k), n};
+  m[p99Name] = {"cycles", std::exp(p99LogSum / k),
                 n + ", >=" + std::to_string(fewestBeyond) + " beyond p99"};
 }
 
@@ -885,16 +896,24 @@ WorkloadSpec makeSpec(const Options& o) {
   throw std::invalid_argument("unknown workload '" + o.workload + "'");
 }
 
-/// Set-up is short and noisy next to the run, so each instance's set-up
-/// is timed at least this many times and reported as its median.
-constexpr std::size_t kSetupSamples = 5;
-
 /// The analysis thread pool (util/parallel) runs at this fixed size, or
 /// at the CPU count when that is smaller. The simulation is
 /// single-threaded either way.
 constexpr std::size_t kAnalysisThreads = 2;
 
+/// Keeps freed memory in the process heap: no allocation is served by
+/// its own mmap, and the heap is never trimmed. Repeated set-ups then
+/// reuse pages the process already holds instead of faulting fresh
+/// zeroed ones in from the kernel, whose page-fault cost swung set-up
+/// time by 2x from one hour to the next. Every block is still allocated
+/// and touched, so peak RSS still counts it.
+void keepFreedMemory() {
+  mallopt(M_MMAP_MAX, 0);
+  mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+}
+
 int run(const Options& o) {
+  keepFreedMemory();
   setParallelThreadCount(
       std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kAnalysisThreads));
   const WorkloadSpec spec = makeSpec(o);
@@ -915,6 +934,13 @@ int run(const Options& o) {
   const auto runRound = [&](SpanRecorder* rec, const std::string& inject) {
     Round round;
     for (std::size_t i = 0; i < spec.instances.size(); ++i) {
+      try {
+        for (std::size_t k = 0; rec == nullptr && k < spec.setupRepeats; ++k) {
+          setupSamples[i].push_back(runBatch(spec.instances[i], nullptr, "", true).setupS);
+        }
+      } catch (const std::exception&) {
+        // The full batch below records this instance's failure.
+      }
       round.push_back(runBatch(spec.instances[i], rec, i == 0 ? inject : ""));
       if (rec == nullptr) setupSamples[i].push_back(round.back().setupS);
     }
@@ -939,15 +965,6 @@ int run(const Options& o) {
     for (const Batch& b : untraced.back()) std::cout << ' ' << b.runS;
     std::cout << '\n';
   } while (secondsSince(start) + roundS <= o.seconds);
-  for (std::size_t i = 0; i < spec.instances.size(); ++i) {
-    try {
-      while (setupSamples[i].size() < kSetupSamples) {
-        setupSamples[i].push_back(runBatch(spec.instances[i], nullptr, "", true).setupS);
-      }
-    } catch (const std::exception&) {
-      // The rounds already recorded this instance's failure.
-    }
-  }
 
   std::uint64_t attempted = 0, failed = 0;
   std::vector<std::string> failures;

@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload svc-overload --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload svc-overload --seed 1 --seconds 30 --trace 0
 
 The first call configures and builds `perfbench_e2e` (Release) from the
 repository's `src/` into `$CARGO_TARGET_DIR/perfbench` (default
@@ -52,7 +52,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True,
                         choices=["svc-overload", "closed-mix", "noc-mesh"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--size", choices=["full", "tiny"], default="full",
                         help="tiny: small inputs for the smoke test")
