@@ -19,6 +19,7 @@
 
 #include <malloc.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -33,7 +34,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/laps.h"
@@ -50,6 +50,20 @@ using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// CPU seconds the process has used, over all its threads. The
+/// end-to-end host times (setup_s, run_s) are read from this clock. With
+/// the analysis pool at one thread, every timed step runs on the calling
+/// thread and never waits, so on an idle host this clock advances with
+/// wall time; unlike wall time, it leaves out time a shared host takes
+/// the CPU away (descheduling, or steal time in a virtual machine),
+/// which is other tenants' load rather than the program's work. Work a
+/// later change moves onto other threads is still counted.
+double cpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 // ---------------------------------------------------------------------
@@ -184,8 +198,8 @@ struct ExperimentRun {
   ExperimentResult result;
   std::size_t cores = 0;
   bool open = false;
-  double setupS = 0.0;  ///< everything before MpsocSimulator::run
-  double runS = 0.0;    ///< MpsocSimulator::run
+  double setupS = 0.0;  ///< everything before MpsocSimulator::run (CPU s)
+  double runS = 0.0;    ///< MpsocSimulator::run (CPU s)
   // Traced runs only: isolated replays outside the engine.
   double sharingLiveS = 0.0;
   std::uint64_t sharingLiveOps = 0;
@@ -241,7 +255,7 @@ ExperimentRun runPipeline(const Workload& workload, const Arm& arm,
   std::vector<LiveEvent> liveEvents;
   {
     const Scope experiment(recorder, SpanKind::Experiment);
-    const auto setupStart = Clock::now();
+    const double setupStart = cpuSeconds();
     {
       const Scope s(recorder, SpanKind::Validate);
       validateWorkload(workload);
@@ -345,13 +359,13 @@ ExperimentRun runPipeline(const Workload& workload, const Arm& arm,
       simulator.emplace(workload, space, sharing, driven, config.mpsoc);
       if (out.open) simulator->provideFootprints(footprints);
     }
-    out.setupS = secondsSince(setupStart);
+    out.setupS = cpuSeconds() - setupStart;
     if (setupOnly) return out;
     {
       const Scope s(recorder, SpanKind::SimRun);
-      const auto runStart = Clock::now();
+      const double runStart = cpuSeconds();
       result.sim = simulator->run();
-      out.runS = secondsSince(runStart);
+      out.runS = cpuSeconds() - runStart;
     }
     {
       const Scope s(recorder, SpanKind::Energy);
@@ -523,8 +537,8 @@ void injectBroken(const std::string& what, SimResult& r) {
 // ---------------------------------------------------------------------
 
 struct Batch {
-  double setupS = 0.0;  ///< generation + every experiment's setup
-  double runS = 0.0;
+  double setupS = 0.0;  ///< generation + every experiment's setup (CPU s)
+  double runS = 0.0;    ///< CPU s
   std::vector<ExperimentRun> runs;
   std::vector<std::string> fingerprints;
   std::uint64_t attempted = 0;
@@ -541,9 +555,9 @@ Batch runBatch(const Instance& instance, SpanRecorder* recorder,
   Workload workload;
   {
     const Scope s(recorder, SpanKind::WorkloadGen);
-    const auto start = Clock::now();
+    const double start = cpuSeconds();
     workload = instance.generate();
-    batch.setupS = secondsSince(start);
+    batch.setupS = cpuSeconds() - start;
   }
   const std::uint64_t n = workload.graph.processCount();
   for (const Arm& arm : instance.arms) {
@@ -896,10 +910,14 @@ WorkloadSpec makeSpec(const Options& o) {
   throw std::invalid_argument("unknown workload '" + o.workload + "'");
 }
 
-/// The analysis thread pool (util/parallel) runs at this fixed size, or
-/// at the CPU count when that is smaller. The simulation is
-/// single-threaded either way.
-constexpr std::size_t kAnalysisThreads = 2;
+/// The analysis thread pool (util/parallel) is pinned to one thread, so
+/// no pool is started and every parallel region runs inline. With more,
+/// MpsocSimulator::run itself is not single-threaded on the service
+/// workloads: each arrival's live SharingMatrix::addProcess row (2048 or
+/// 1024 wide, past the pool's 256-wide cutoff) is split across the pool,
+/// and every such split waits for a woken worker, so the wake-up delay,
+/// which depends on what else the host runs, lands in run_s.
+constexpr std::size_t kAnalysisThreads = 1;
 
 /// Keeps freed memory in the process heap: no allocation is served by
 /// its own mmap, and the heap is never trimmed. Repeated set-ups then
@@ -914,8 +932,7 @@ void keepFreedMemory() {
 
 int run(const Options& o) {
   keepFreedMemory();
-  setParallelThreadCount(
-      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kAnalysisThreads));
+  setParallelThreadCount(kAnalysisThreads);
   const WorkloadSpec spec = makeSpec(o);
   std::cout << "workload " << spec.name << ", seed " << o.seed
             << (spec.seeded ? "" : " (unused: the workload has no seed)") << ", "
@@ -961,7 +978,8 @@ int run(const Options& o) {
       layerMetrics.push_back(perLayer(traced.back(), recorder, nonzeroShare));
     }
     roundS = secondsSince(roundStart);
-    std::cout << "round " << untraced.size() << ": run_s per instance";
+    std::cout << "round " << untraced.size() << " (" << roundS
+              << " s wall): run_s per instance";
     for (const Batch& b : untraced.back()) std::cout << ' ' << b.runS;
     std::cout << '\n';
   } while (secondsSince(start) + roundS <= o.seconds);
