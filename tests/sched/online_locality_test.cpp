@@ -260,7 +260,11 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
   // and legacy (plain vectors + linear scans) implementations receive
   // the identical event stream and must agree on every plan state and
   // every dispatch decision — across rebuild thresholds, including
-  // exits of planned-but-never-dispatched processes.
+  // exits of planned-but-never-dispatched processes, core outages
+  // (onCoreDown evacuates a core's queue, onCoreUp re-admits it) and
+  // preemptions (onPreempt re-plans the suspended process).
+  std::size_t outages = 0;
+  std::size_t preempts = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
     const std::size_t n = 6 + static_cast<std::size_t>(rng.below(20));
@@ -323,9 +327,27 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
     }
 
     std::vector<std::optional<ProcessId>> previous(coreCount);
+    std::vector<bool> down(coreCount, false);
+    std::size_t downCount = 0;
+    std::vector<int> preemptions(n, 0);
     std::size_t done = static_cast<std::size_t>(
         std::count(completed.begin(), completed.end(), true));
     while (done < n) {
+      // Between rounds (nothing runs), a random core may go down or
+      // recover. At least one core stays up, so work never strands.
+      const auto flip = static_cast<std::size_t>(rng.below(4 * coreCount));
+      if (flip < coreCount) {
+        if (down[flip]) {
+          both([&](auto& policy) { policy.onCoreUp(flip); });
+          down[flip] = false;
+          --downCount;
+        } else if (downCount + 1 < coreCount) {
+          both([&](auto& policy) { policy.onCoreDown(flip); });
+          down[flip] = true;
+          ++downCount;
+          ++outages;
+        }
+      }
       std::vector<ProcessId> ran;
       for (std::size_t core = 0; core < coreCount; ++core) {
         const auto a = indexed.pickNext(core, previous[core]);
@@ -342,6 +364,17 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
       ASSERT_FALSE(ran.empty()) << "seed " << seed << ": stranded at "
                                 << done << "/" << n;
       for (const ProcessId p : ran) {
+        // A quantum may expire instead (at most twice per process, so
+        // the run still terminates): the process is suspended, ready
+        // again and re-planned.
+        if (preemptions[p] < 2 && rng.below(4) == 0) {
+          ++preemptions[p];
+          ++preempts;
+          both([&](auto& policy) { policy.onPreempt(p); });
+          dispatched[p] = false;
+          readySet[p] = true;
+          continue;
+        }
         both([&](auto& policy) {
           policy.onComplete(p);
           policy.onExit(p);
@@ -366,6 +399,9 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
     EXPECT_EQ(is.steals, ls.steals) << "seed " << seed;
     EXPECT_EQ(is.offloads, ls.offloads) << "seed " << seed;
   }
+  // The fault and preemption paths really ran.
+  EXPECT_GT(outages, 0u);
+  EXPECT_GT(preempts, 0u);
 }
 
 TEST(OnlineLocality, IndexedMatchesLegacyFullOpenSimulation) {
