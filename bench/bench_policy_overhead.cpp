@@ -7,8 +7,9 @@
 /// until ~window processes are live, one dispatch round per step, every
 /// dispatched process completing and exiting at the end of its round —
 /// and reports decisions/second and ns/event for DLS, CALS, and OLS in
-/// both implementations (legacy loops vs the PlanIndex core behind
-/// OnlineLocalityOptions::indexedPlanner).
+/// two implementations: OLS-old is the legacy-loop oracle
+/// (tests/oracles/legacy_online_locality.h), OLS-idx the library's
+/// OnlineLocalityScheduler on the PlanIndex core.
 ///
 /// The event protocol is the simulation engine's (onArrival before
 /// onReady, onComplete then onExit, readiness fired exactly once), so
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "oracles/legacy_online_locality.h"
 #include "synthetic_overhead.h"
 
 namespace {
@@ -146,14 +148,10 @@ std::vector<Arm> makeArms() {
   arms.push_back(Arm{"DLS", std::make_unique<DynamicLocalityScheduler>()});
   arms.push_back(
       Arm{"CALS", std::make_unique<L2ContentionAwareScheduler>()});
-  OnlineLocalityOptions legacy;
-  legacy.indexedPlanner = false;
   arms.push_back(
-      Arm{"OLS-old", std::make_unique<OnlineLocalityScheduler>(legacy)});
-  OnlineLocalityOptions indexed;
-  indexed.indexedPlanner = true;
+      Arm{"OLS-old", std::make_unique<LegacyOnlineLocalityScheduler>()});
   arms.push_back(
-      Arm{"OLS-idx", std::make_unique<OnlineLocalityScheduler>(indexed)});
+      Arm{"OLS-idx", std::make_unique<OnlineLocalityScheduler>()});
   return arms;
 }
 

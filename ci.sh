@@ -91,11 +91,12 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "tier1" ]; then
       python3 ../bench/baselines/check_shapes.py bench_saturation.csv \
         --no-shapes --percentile-monotone --saturation-shapes \
         --baseline ../bench/baselines/saturation.csv
-      # Decision-throughput sweep: the checksum columns prove OLS-old and
-      # OLS-idx are decision-identical at every |T| (diffed against the
-      # baseline on the machine-independent columns), and the indexed
-      # planner must hold its >=5x decisions/sec margin at the largest
-      # |T| (--decision-throughput; timing columns are excluded from the
+      # Decision-throughput sweep: the checksum columns prove OLS-old
+      # (the legacy oracle, tests/oracles/) and OLS-idx (the library's
+      # OLS) are decision-identical at every |T| (diffed against the
+      # baseline on the machine-independent columns), and OLS-idx must
+      # hold its >=5x decisions/sec margin at the largest |T|
+      # (--decision-throughput; timing columns are excluded from the
       # baseline diff).
       ./bench_policy_overhead --csv > bench_policy_overhead.csv
       python3 ../bench/baselines/check_shapes.py bench_policy_overhead.csv \

@@ -190,9 +190,9 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
 
   // --- Main loop on the indexed core: per round, each core pops the
   // ready process with maximum sharing with its previously placed
-  // process (smallest id on ties — the heap comparator's order equals
-  // the legacy ascending strict-`>` scan). place() releases successors
-  // through the cached indegree counters.
+  // process (smallest id on ties — the order of the legacy ascending
+  // strict-`>` scan). place() releases successors through the cached
+  // indegree counters.
   PlanIndex index;
   index.beginPlanner(graph, sharing, coreCount, pending);
   while (remaining > 0) {

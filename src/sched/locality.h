@@ -81,10 +81,11 @@ struct LocalityOptions {
 /// Runs on the indexed planner core (sched/plan_index.h): incremental
 /// row-sum totals for the initial trim (O(|IN|²) instead of O(|IN|³)),
 /// cached indegree counters instead of the per-candidate predecessor
-/// walk, and per-core lazy max-heaps for the greedy argmax. The plan is
-/// identical — element for element — to buildLocalityPlanLegacy below;
-/// the differential tests in tests/sched/plan_index_test.cpp and the
-/// equality argument in docs/ARCHITECTURE.md §12 pin it.
+/// walk, and a linear argmax over the ready list for the greedy pick.
+/// The plan is identical — element for element — to
+/// buildLocalityPlanLegacy below; the differential tests in
+/// tests/sched/plan_index_test.cpp and the equality argument in
+/// docs/ARCHITECTURE.md §12 pin it.
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,

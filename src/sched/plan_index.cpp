@@ -1,59 +1,29 @@
 #include "sched/plan_index.h"
 
-#include <algorithm>
-
-#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
-
-namespace {
-
-/// Max-heap order: key descending, id ascending on equal keys — the
-/// heap top is the order-independent form of the legacy ascending scan
-/// with strict `>` (smallest id among the maximal keys).
-struct HeapBelow {
-  bool operator()(const PlanIndex::HeapEntry& a,
-                  const PlanIndex::HeapEntry& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id > b.id;
-  }
-};
-
-}  // namespace
 
 void PlanIndex::reset(const SharingMatrix& sharing, std::size_t n,
                       std::size_t coreCount) {
   check(coreCount >= 1, "PlanIndex: need at least one core");
   check(sharing.size() == n, "PlanIndex: sharing matrix size mismatch");
   sharing_ = &sharing;
-  version_.assign(n, 0);
+  coreCount_ = coreCount;
   ready_.assign(n, false);
   readyList_.clear();
   readyCount_ = 0;
-  readyGen_ = 0;
-  heaps_.assign(coreCount, CoreHeap{});
-  popCount_ = 0;
   score_ = nullptr;
   home_.assign(n, -1);
 }
 
 void PlanIndex::enableDistance(const LocalityScore* score) {
   score_ = score;
-  // Keys may change meaning wholesale: force every heap to rebuild.
-  ++readyGen_;
 }
 
 void PlanIndex::setHome(ProcessId process, std::optional<std::size_t> home) {
   check(process < home_.size(), "PlanIndex::setHome: unknown process");
-  const std::int32_t next =
-      home ? static_cast<std::int32_t>(*home) : std::int32_t{-1};
-  if (home_[process] == next) return;
-  home_[process] = next;
-  // Distance-blind keys ignore homes — skip the (cache-thrashing)
-  // invalidation entirely so the pre-NoC hot path is untouched.
-  if (score_ == nullptr || !score_->distanceAware()) return;
-  invalidateProcess(process);
+  home_[process] = home ? static_cast<std::int32_t>(*home) : std::int32_t{-1};
 }
 
 std::optional<std::size_t> PlanIndex::homeOf(ProcessId process) const {
@@ -118,7 +88,6 @@ void PlanIndex::markUnready(ProcessId process) {
   if (!ready_[process]) return;
   ready_[process] = false;
   --readyCount_;
-  ++version_[process];  // stale every heap entry for it
   if (readyList_.size() > 2 * readyCount_ + 64) compactReadyList();
 }
 
@@ -127,107 +96,31 @@ bool PlanIndex::isReady(ProcessId process) const {
   return ready_[process];
 }
 
-void PlanIndex::invalidateProcess(ProcessId process) {
-  check(process < version_.size(),
-        "PlanIndex::invalidateProcess: unknown process");
-  ++version_[process];
-  // Heaps anchored on it notice via the anchorVersion check and
-  // rebuild; its own entries (if it is ready) go stale, so re-announce
-  // it on the ready list with the new tag for the sync path to absorb.
-  if (ready_[process]) readyList_.push_back(process);
-}
-
 void PlanIndex::compactReadyList() {
   std::erase_if(readyList_,
                 [&](ProcessId p) { return !ready_[p]; });
-  ++readyGen_;  // heaps built against the old list must fully rebuild
-}
-
-void PlanIndex::rebuildHeap(CoreHeap& heap, std::size_t core,
-                            ProcessId anchor) {
-  const std::span<const std::int64_t> row = sharing_->row(anchor);
-  heap.entries.clear();
-  heap.entries.reserve(readyCount_);
-  for (const ProcessId q : readyList_) {
-    if (!ready_[q]) continue;
-    heap.entries.push_back(HeapEntry{keyFor(core, q, row.data()), q,
-                                     version_[q]});
-  }
-  std::make_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-  heap.valid = true;
-  heap.anchor = anchor;
-  heap.anchorVersion = version_[anchor];
-  heap.readyGen = readyGen_;
-  heap.syncedTo = readyList_.size();
-}
-
-void PlanIndex::syncHeap(CoreHeap& heap, std::size_t core, ProcessId anchor) {
-  if (heap.syncedTo == readyList_.size()) return;
-  const std::span<const std::int64_t> row = sharing_->row(anchor);
-  for (std::size_t i = heap.syncedTo; i < readyList_.size(); ++i) {
-    const ProcessId q = readyList_[i];
-    if (!ready_[q]) continue;
-    heap.entries.push_back(HeapEntry{keyFor(core, q, row.data()), q,
-                                     version_[q]});
-    std::push_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-  }
-  heap.syncedTo = readyList_.size();
-}
-
-std::optional<PlanIndex::HeapEntry> PlanIndex::rescanBest(
-    std::size_t core, std::optional<ProcessId> anchor) const {
-  std::optional<HeapEntry> best;
-  const std::int64_t* row = nullptr;
-  if (anchor) row = sharing_->row(*anchor).data();
-  for (const ProcessId q : readyList_) {
-    if (!ready_[q]) continue;
-    const std::int64_t s = keyFor(core, q, row);
-    if (!best || s > best->key || (s == best->key && q < best->id)) {
-      best = HeapEntry{s, q, version_[q]};
-    }
-  }
-  return best;
-}
-
-std::optional<PlanIndex::HeapEntry> PlanIndex::peekBest(
-    std::size_t core, std::optional<ProcessId> anchor) {
-  check(core < heaps_.size(), "PlanIndex: unknown core");
-  if (readyCount_ == 0) return std::nullopt;
-  if (!anchor) {
-    // Anchorless pick: distance-blind, every key is 0 and the argmax
-    // degenerates to the smallest ready id; distance-aware, keys are
-    // pure hop penalties and the nearest home wins. Either way a linear
-    // rescan — no heap to maintain for a cold core.
-    return rescanBest(core, std::nullopt);
-  }
-  CoreHeap& heap = heaps_[core];
-  if (!heap.valid || heap.anchor != anchor ||
-      heap.readyGen != readyGen_ ||
-      heap.anchorVersion != version_[*anchor]) {
-    rebuildHeap(heap, core, *anchor);
-  } else {
-    syncHeap(heap, core, *anchor);
-  }
-  while (!heap.entries.empty()) {
-    const HeapEntry& top = heap.entries.front();
-    if (top.version == version_[top.id]) return top;
-    std::pop_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-    heap.entries.pop_back();  // stale: superseded or unreadied
-  }
-  return std::nullopt;
 }
 
 std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
                                             std::optional<ProcessId> anchor) {
-  const std::optional<HeapEntry> best = peekBest(core, anchor);
-  if (!best) return std::nullopt;
-  ++popCount_;
-  LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) {
-    auditTopAgreement(core, anchor);
-  });
-  const ProcessId id = best->id;
-  markUnready(id);
-  return id;
+  check(core < coreCount_, "PlanIndex: unknown core");
+  // Anchorless, every distance-blind key is 0 and the argmax degenerates
+  // to the smallest ready id; distance-aware, keys are pure hop
+  // penalties and the nearest home wins.
+  const std::int64_t* row = nullptr;
+  if (anchor) row = sharing_->row(*anchor).data();
+  std::optional<ProcessId> best;
+  std::int64_t bestKey = 0;
+  for (const ProcessId q : readyList_) {
+    if (!ready_[q]) continue;
+    const std::int64_t key = keyFor(core, q, row);
+    if (!best || key > bestKey || (key == bestKey && q < *best)) {
+      best = q;
+      bestKey = key;
+    }
+  }
+  if (best) markUnready(*best);
+  return best;
 }
 
 void PlanIndex::place(ProcessId process) {
@@ -239,38 +132,6 @@ void PlanIndex::place(ProcessId process) {
     check(indegree_[succ] > 0, "PlanIndex::place: indegree accounting");
     if (--indegree_[succ] == 0) markReady(succ);
   }
-}
-
-void PlanIndex::auditTopAgreement(std::size_t core,
-                                  std::optional<ProcessId> anchor) {
-  const std::optional<HeapEntry> top = peekBest(core, anchor);
-  const std::optional<HeapEntry> oracle = rescanBest(core, anchor);
-  audit::require(top.has_value() == oracle.has_value(),
-                 "plan index: heap top exists iff the rescan finds a "
-                 "ready candidate");
-  if (!top) return;
-  audit::require(top->id == oracle->id,
-                 "plan index: heap top disagrees with the linear rescan "
-                 "argmax");
-  audit::require(top->key == oracle->key,
-                 "plan index: cached heap key drifted from the live "
-                 "sharing row");
-}
-
-void PlanIndex::corruptKeyForTest(std::size_t core, ProcessId process,
-                                  std::int64_t key) {
-  check(core < heaps_.size(), "PlanIndex::corruptKeyForTest: unknown core");
-  CoreHeap& heap = heaps_[core];
-  check(heap.valid, "PlanIndex::corruptKeyForTest: heap not built");
-  bool found = false;
-  for (HeapEntry& entry : heap.entries) {
-    if (entry.id == process && entry.version == version_[process]) {
-      entry.key = key;
-      found = true;
-    }
-  }
-  check(found, "PlanIndex::corruptKeyForTest: no live entry for process");
-  std::make_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
 }
 
 }  // namespace laps

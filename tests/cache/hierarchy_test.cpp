@@ -82,7 +82,11 @@ std::shared_ptr<MemoryHierarchy> contendedHierarchy() {
   bus.maxOutstanding = 2;
   bus.latencyCycles = 75;
   bus.widthBytes = 8;  // 79-cycle occupancy on 32 B lines
-  return std::make_shared<MemoryHierarchy>(75, l2, bus, 32);
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Bus;
+  platform.sharedL2 = l2;
+  platform.bus = bus;
+  return std::make_shared<MemoryHierarchy>(75, platform, 1, 32);
 }
 
 TEST(MemorySystem, DefaultHierarchyIsFlatAndUncontended) {
@@ -136,7 +140,10 @@ TEST(MemorySystem, MissNeverStallsBehindItsOwnVictimWriteback) {
   bus.maxOutstanding = 1;
   bus.latencyCycles = 75;
   bus.widthBytes = 8;  // occupancy 79
-  auto shared = std::make_shared<MemoryHierarchy>(75, std::nullopt, bus, 32);
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Bus;
+  platform.bus = bus;
+  auto shared = std::make_shared<MemoryHierarchy>(75, platform, 1, 32);
   MemoryConfig cfg = paperDefaults();
   cfg.l1d = CacheConfig{64, 1, 32, 2};
   MemorySystem mem(cfg, shared);

@@ -327,7 +327,7 @@ TEST(PlatformConfig, LegacyShimResolvesBothSurfaces) {
   // ...and setting both surfaces at once is an eager error.
   MpsocConfig both = legacy;
   both.platform = PlatformConfig{};
-  EXPECT_THROW(both.resolvedPlatform(), Error);
+  EXPECT_THROW((void)both.resolvedPlatform(), Error);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "oracles/legacy_online_locality.h"
 
 namespace laps {
 namespace {
@@ -146,16 +147,18 @@ TEST(LoadBalancer, PureDeterministicAndBounded) {
   }
 }
 
-/// Drives an OLS policy through the engine's event protocol: all \p n
+/// Drives an OLS policy (OnlineLocalityScheduler, or the legacy oracle
+/// with the same options) through the engine's event protocol: all \p n
 /// processes arrive up front (skewed-burst shape), readiness follows the
 /// DAG, one dispatch round per step. Asserts the policy never yields a
 /// non-ready or already-dispatched process and that everything
 /// completes. Returns the (core, process) dispatch sequence.
+template <typename Policy = OnlineLocalityScheduler>
 std::vector<std::pair<std::size_t, ProcessId>> driveOls(
     const ExtendedProcessGraph& graph, const SharingMatrix& sharing,
     std::size_t coreCount, const OnlineLocalityOptions& options,
     PolicyStats* statsOut = nullptr) {
-  OnlineLocalityScheduler policy(options);
+  Policy policy(options);
   policy.reset(SchedContext{&graph, &sharing, coreCount});
   const std::size_t n = graph.processCount();
 
@@ -269,13 +272,11 @@ TEST(LoadBalancer, OlsShedsSkewSafelyAndDeterministically) {
   }
   setParallelThreadCount(0);  // restore automatic resolution
 
-  // Both modes shed identically: the balancer sits above the plan
-  // representation, so indexed and legacy stay decision-identical.
-  OnlineLocalityOptions legacy = balanced;
-  legacy.indexedPlanner = false;
+  // The legacy oracle sheds identically: the balancer sits above the
+  // plan representation, so OLS and the oracle stay decision-identical.
   PolicyStats legacyStats;
-  const auto legacySeq =
-      driveOls(rig.graph, rig.sharing, 4, legacy, &legacyStats);
+  const auto legacySeq = driveOls<LegacyOnlineLocalityScheduler>(
+      rig.graph, rig.sharing, 4, balanced, &legacyStats);
   EXPECT_EQ(legacySeq, onSeq);
   EXPECT_EQ(legacyStats.offloads, onStats.offloads);
 }

@@ -1,7 +1,8 @@
 /// \file online_locality_test.cpp
 /// \brief OnlineLocalityScheduler: closed-workload equivalence with the
 /// static LS plan, incremental patch/rebuild behavior under arrival and
-/// exit events, and parameter validation.
+/// exit events, decision identity with the legacy oracle
+/// (tests/oracles/legacy_online_locality.h), and parameter validation.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "oracles/legacy_online_locality.h"
 
 namespace laps {
 namespace {
@@ -256,8 +258,8 @@ SharingMatrix randomSharing(Rng& rng, std::size_t n) {
 }
 
 TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
-  // Lockstep differential: the indexed (tombstone queues + PlanIndex)
-  // and legacy (plain vectors + linear scans) implementations receive
+  // Lockstep differential: OLS (tombstone queues + PlanIndex) and the
+  // legacy oracle (plain vectors + linear scans) receive
   // the identical event stream and must agree on every plan state and
   // every dispatch decision — across rebuild thresholds, including
   // exits of planned-but-never-dispatched processes, core outages
@@ -277,10 +279,8 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
     OnlineLocalityOptions options;
     options.rebuildThreshold = threshold;
     options.balancer.enabled = (seed % 3 == 0);
-    options.indexedPlanner = true;
     OnlineLocalityScheduler indexed(options);
-    options.indexedPlanner = false;
-    OnlineLocalityScheduler legacy(options);
+    LegacyOnlineLocalityScheduler legacy(options);
     const SchedContext context{&graph, &sharing, coreCount};
     indexed.reset(context);
     legacy.reset(context);
@@ -406,9 +406,10 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
 
 TEST(OnlineLocality, IndexedMatchesLegacyFullOpenSimulation) {
   // End-to-end through the simulation engine: staggered cohort arrivals
-  // plus lifetime retirement (exits of processes that never ran). The
-  // two implementations must produce the same simulation, cycle for
-  // cycle.
+  // plus lifetime retirement (exits of processes that never ran). OLS
+  // (through runExperiment) and the legacy oracle (driving the engine
+  // directly, with the same inputs runExperiment hands it in open mode)
+  // must produce the same simulation, cycle for cycle.
   const auto suite = standardSuite();
   const Workload mix = concurrentScenario(suite, 2);
   ExperimentConfig config;
@@ -417,32 +418,35 @@ TEST(OnlineLocality, IndexedMatchesLegacyFullOpenSimulation) {
   config.mpsoc.arrivals->processLifetimeCycles = 400'000;
   config.sched.onlineLocality.rebuildThreshold = 4;
 
-  config.sched.onlineLocality.indexedPlanner = true;
-  const auto indexed =
-      runExperiment(mix, SchedulerKind::OnlineLocality, config);
-  config.sched.onlineLocality.indexedPlanner = false;
-  const auto legacy =
-      runExperiment(mix, SchedulerKind::OnlineLocality, config);
+  const SimResult indexed =
+      runExperiment(mix, SchedulerKind::OnlineLocality, config).sim;
 
-  EXPECT_EQ(indexed.sim.makespanCycles, legacy.sim.makespanCycles);
-  EXPECT_EQ(indexed.sim.retiredProcesses, legacy.sim.retiredProcesses);
-  ASSERT_EQ(indexed.sim.processes.size(), legacy.sim.processes.size());
-  for (std::size_t p = 0; p < indexed.sim.processes.size(); ++p) {
-    EXPECT_EQ(indexed.sim.processes[p].firstStartCycle,
-              legacy.sim.processes[p].firstStartCycle)
+  const std::vector<Footprint> footprints = mix.footprints();
+  const SharingMatrix sharing = SharingMatrix::inactive(footprints.size());
+  const AddressSpace space(mix.arrays, config.addressSpace);
+  LegacyOnlineLocalityScheduler oracle(config.sched.onlineLocality);
+  MpsocSimulator simulator(mix, space, sharing, oracle, config.mpsoc);
+  simulator.provideFootprints(footprints);
+  const SimResult legacy = simulator.run();
+
+  EXPECT_EQ(indexed.makespanCycles, legacy.makespanCycles);
+  EXPECT_EQ(indexed.retiredProcesses, legacy.retiredProcesses);
+  ASSERT_EQ(indexed.processes.size(), legacy.processes.size());
+  for (std::size_t p = 0; p < indexed.processes.size(); ++p) {
+    EXPECT_EQ(indexed.processes[p].firstStartCycle,
+              legacy.processes[p].firstStartCycle)
         << "process " << p;
-    EXPECT_EQ(indexed.sim.processes[p].completionCycle,
-              legacy.sim.processes[p].completionCycle)
+    EXPECT_EQ(indexed.processes[p].completionCycle,
+              legacy.processes[p].completionCycle)
         << "process " << p;
-    EXPECT_EQ(indexed.sim.processes[p].retired,
-              legacy.sim.processes[p].retired)
+    EXPECT_EQ(indexed.processes[p].retired, legacy.processes[p].retired)
         << "process " << p;
   }
   // PolicyStats ride SimResult out of the engine; the decision counts
   // of two decision-identical runs match.
-  EXPECT_EQ(indexed.sim.policy.decisions, legacy.sim.policy.decisions);
-  EXPECT_GT(indexed.sim.policy.decisions, 0u);
-  EXPECT_EQ(indexed.sim.policy.rebuilds, legacy.sim.policy.rebuilds);
+  EXPECT_EQ(indexed.policy.decisions, legacy.policy.decisions);
+  EXPECT_GT(indexed.policy.decisions, 0u);
+  EXPECT_EQ(indexed.policy.rebuilds, legacy.policy.rebuilds);
 }
 
 TEST(OnlineLocality, StatsCountersAccount) {

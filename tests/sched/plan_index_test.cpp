@@ -1,11 +1,10 @@
 /// \file plan_index_test.cpp
 /// \brief Differential property tests for the indexed planner core:
-/// buildLocalityPlan (lazy heaps + cached indegrees) must be
+/// buildLocalityPlan (cached indegrees + ready-list argmax) must be
 /// plan-identical to buildLocalityPlanLegacy (the pre-index Fig. 3
 /// loops) on random DAGs across subset spans and core counts, and
 /// dispatch-mode popBest must match pickMaxSharing decision-for-
-/// decision. The audit seam (auditTopAgreement / corruptKeyForTest)
-/// is proven to fire on an injected stale-key violation.
+/// decision.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/laps.h"
-#include "util/audit.h"
 
 namespace laps {
 namespace {
@@ -119,8 +117,8 @@ TEST(PlanIndexDifferential, MatchesLegacyOnRealWorkload) {
 
 TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
   // Dispatch mode against the legacy argmax: random interleavings of
-  // markReady / markUnready / invalidateProcess / popBest must agree
-  // with pickMaxSharing over a mirrored ready vector at every pick.
+  // markReady / markUnready / popBest must agree with pickMaxSharing
+  // over a mirrored ready vector at every pick.
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(seed * 0x517cc1b727220a95ULL + 3);
     const std::size_t n = 4 + static_cast<std::size_t>(rng.below(40));
@@ -137,11 +135,9 @@ TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
       if (action < 4) {
         index.markReady(p);
         mirror[p] = true;
-      } else if (action < 5) {
+      } else if (action < 6) {
         if (index.isReady(p)) index.markUnready(p);
         mirror[p] = false;
-      } else if (action < 6) {
-        index.invalidateProcess(p);
       } else {
         const auto core = static_cast<std::size_t>(rng.below(coreCount));
         std::optional<ProcessId> anchor;
@@ -158,7 +154,7 @@ TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
   }
 }
 
-TEST(PlanIndexAudit, CleanStateAgrees) {
+TEST(PlanIndexDispatch, PopsTheMaximumSharingCandidate) {
   SharingMatrix sharing(6);
   for (std::size_t q = 1; q < 6; ++q) {
     sharing.set(0, q, static_cast<std::int64_t>(10 * q));
@@ -167,68 +163,12 @@ TEST(PlanIndexAudit, CleanStateAgrees) {
   PlanIndex index;
   index.beginDispatch(sharing, 6, 2);
   for (ProcessId p = 1; p < 6; ++p) index.markReady(p);
-  // The checker is an ordinary function: callable (and clean) in every
-  // build configuration, sampled from popBest only under LAPS_AUDIT.
-  EXPECT_NO_THROW(index.auditTopAgreement(0, ProcessId{0}));
-  EXPECT_NO_THROW(index.auditTopAgreement(1, std::nullopt));
   const auto best = index.popBest(0, ProcessId{0});
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 5u);  // max sharing(0, q) = 50
-  EXPECT_NO_THROW(index.auditTopAgreement(0, ProcessId{0}));
-}
-
-TEST(PlanIndexAudit, CorruptedKeyFiresChecker) {
-  SharingMatrix sharing(6);
-  for (std::size_t q = 1; q < 6; ++q) {
-    sharing.set(0, q, static_cast<std::int64_t>(10 * q));
-    sharing.set(q, 0, static_cast<std::int64_t>(10 * q));
-  }
-  PlanIndex index;
-  index.beginDispatch(sharing, 6, 2);
-  for (ProcessId p = 1; p < 6; ++p) index.markReady(p);
-  // Materialize core 0's heap for anchor 0, then inject the bug the
-  // version protocol is supposed to make impossible: a cached key that
-  // no longer matches the live sharing row.
-  const auto first = index.popBest(0, ProcessId{0});
-  ASSERT_TRUE(first.has_value());
-  index.corruptKeyForTest(0, ProcessId{1}, 1000);  // real key is 10
-  EXPECT_THROW(index.auditTopAgreement(0, ProcessId{0}), AuditError);
-  // No live entry for an unready process: the seam itself reports it.
-  EXPECT_THROW(index.corruptKeyForTest(0, *first, 7), Error);
-}
-
-TEST(PlanIndexAudit, SampledPopDetectsCorruption) {
-  // The macro path: popBest audits pops 1, 17, 33, ... (kAuditSampleEvery
-  // = 16). Corrupt a key after pop 1 and walk to pop 17: under
-  // LAPS_AUDIT the sampled rescan must throw; without it, the pop
-  // silently returns the wrong process — exactly the failure mode the
-  // audit layer exists to surface.
-  constexpr std::size_t kN = 30;
-  SharingMatrix sharing(kN);
-  for (std::size_t q = 1; q < kN; ++q) {
-    const auto s = static_cast<std::int64_t>(1000 - q);
-    sharing.set(0, q, s);
-    sharing.set(q, 0, s);
-  }
-  PlanIndex index;
-  index.beginDispatch(sharing, kN, 1);
-  for (ProcessId p = 1; p < 26; ++p) index.markReady(p);
-
-  ASSERT_EQ(index.popBest(0, ProcessId{0}), ProcessId{1});  // pop 1: audited, clean
-  index.corruptKeyForTest(0, ProcessId{2}, -5);  // true key 998: heap bottom
-  for (ProcessId expect = 3; expect <= 17; ++expect) {
-    // Pops 2..16 are unsampled; the corrupted entry hides at the bottom
-    // while better-keyed (but actually worse) candidates pop first.
-    ASSERT_EQ(index.popBest(0, ProcessId{0}), expect);
-  }
-  static_assert(PlanIndex::kAuditSampleEvery == 16);
-  if (audit::enabled()) {
-    EXPECT_THROW((void)index.popBest(0, ProcessId{0}), AuditError);
-  } else {
-    // Decision corruption passes silently: process 2 (key 998) should
-    // win, but the heap serves 18.
-    EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{18});
-  }
+  // Anchorless: the smallest ready id.
+  EXPECT_EQ(index.popBest(1, std::nullopt), ProcessId{1});
+  EXPECT_EQ(index.readyCount(), 3u);
 }
 
 TEST(PlanIndexPlanner, PlaceReleasesSuccessors) {
