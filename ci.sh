@@ -26,21 +26,26 @@
 #   bench-gate  run the bench mode against a saved copy of the committed
 #               BENCH_micro.json and fail if any *_speedup field
 #               regressed >25% (bench/baselines/check_bench_regression.py)
-#               — the scheduled CI perf gate.
+#               — the scheduled CI perf gate;
+#   perfbench   the end-to-end benchmark's own smoke test
+#               (python3 perfbench/test_bench.py: builds perfbench_e2e
+#               into .bench_build/, checks every metric and the output
+#               checks at tiny sizes, then runs the seeded workloads once
+#               on the held-out seed; about a minute after the build).
 #
 # Every cmake configure honours LAPSCHED_WERROR (default OFF); CI
 # exports LAPSCHED_WERROR=ON so all CI configurations build -Werror.
 #
-# Usage: ci.sh [tier1|lint|audit|sanitize|tsan|bench|bench-gate|all]
+# Usage: ci.sh [tier1|lint|audit|sanitize|tsan|perfbench|bench|bench-gate|all]
 # (default: all)
 set -eu
 
 MODE="${1:-all}"
 case "$MODE" in
-  all|tier1|lint|audit|sanitize|tsan|bench|bench-gate) ;;
+  all|tier1|lint|audit|sanitize|tsan|perfbench|bench|bench-gate) ;;
   *)
     echo "ci.sh: unknown mode '$MODE' (expected tier1, lint, audit," \
-         "sanitize, tsan, bench, bench-gate or all)" >&2
+         "sanitize, tsan, perfbench, bench, bench-gate or all)" >&2
     exit 2
     ;;
 esac
@@ -181,6 +186,19 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "tsan" ]; then
     -DLAPSCHED_BUILD_BENCHES=OFF -DLAPSCHED_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
   (cd build-tsan && LAPS_THREADS=4 ctest --output-on-failure -j)
+fi
+
+if [ "$MODE" = "all" ] || [ "$MODE" = "perfbench" ]; then
+  # The benchmark declared in BENCHMARK.json must build from src/ and
+  # pass its own test: every metric printed with its unit, injected
+  # broken results caught, simulated metrics repeatable, and both seeded
+  # workloads correct on the held-out seed.
+  if command -v python3 >/dev/null 2>&1; then
+    python3 perfbench/test_bench.py
+  else
+    echo "ci.sh: python3 not found; cannot run the benchmark smoke test" >&2
+    exit 1
+  fi
 fi
 
 if [ "$MODE" = "bench" ] || [ "$MODE" = "bench-gate" ]; then

@@ -78,48 +78,83 @@ void L2ContentionAwareScheduler::reset(const SchedContext& context) {
         "(footprint conflict analysis)");
   score_.configure(context.sharing, context.topology);
   ready_.clear();
-  conflictMemo_.clear();
   runningOn_.assign(context.coreCount, std::nullopt);
   aging_.reset(context.sharing->size());
 
   // Per-process line occupancy over the shared L2's set space, through
-  // the live address layout.
+  // the live address layout: summed densely per process, kept sparse.
   const std::vector<Footprint> footprints = context.workload->footprints();
-  occupancy_.clear();
-  occupancy_.reserve(footprints.size());
   const auto sets =
       static_cast<std::size_t>(options_.l2Geometry.numSets());
+  runningOccupancy_.assign(sets, 0);
+  occupancy_.clear();
+  rowStart_.assign(1, 0);
+  std::vector<std::int64_t> dense(sets, 0);
   for (const Footprint& fp : footprints) {
-    std::vector<std::int64_t> occ(sets, 0);
     for (const auto& [array, elements] : fp.perArray()) {
       const std::vector<std::int64_t> one = setOccupancy(
           context.space->byteIntervals(array, elements), options_.l2Geometry);
-      for (std::size_t s = 0; s < sets; ++s) occ[s] += one[s];
+      for (std::size_t s = 0; s < sets; ++s) dense[s] += one[s];
     }
-    occupancy_.push_back(std::move(occ));
+    for (std::size_t s = 0; s < sets; ++s) {
+      if (dense[s] != 0) occupancy_.push_back(SetLines{s, dense[s]});
+      dense[s] = 0;
+    }
+    rowStart_.push_back(occupancy_.size());
   }
 }
 
+std::span<const L2ContentionAwareScheduler::SetLines>
+L2ContentionAwareScheduler::row(ProcessId process) const {
+  return std::span<const SetLines>(occupancy_)
+      .subspan(rowStart_[process], rowStart_[process + 1] - rowStart_[process]);
+}
+
 std::int64_t L2ContentionAwareScheduler::conflictBetween(ProcessId a,
-                                                         ProcessId b) {
-  check(a < occupancy_.size() && b < occupancy_.size(),
+                                                         ProcessId b) const {
+  check(a + 1 < rowStart_.size() && b + 1 < rowStart_.size(),
         "L2ContentionAwareScheduler: unknown process");
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(std::min(a, b)) * occupancy_.size() +
-      std::max(a, b);
-  const auto it = conflictMemo_.find(key);
-  if (it != conflictMemo_.end()) return it->second;
+  // Merge of two set-ordered sparse rows: co-mapped line pairs per set.
+  const auto occA = row(a);
+  const auto occB = row(b);
   std::int64_t conflicts = 0;
-  const auto& occA = occupancy_[a];
-  const auto& occB = occupancy_[b];
-  for (std::size_t s = 0; s < occA.size(); ++s) {
-    conflicts += occA[s] * occB[s];  // co-mapped line pairs in set s
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < occA.size() && j < occB.size()) {
+    if (occA[i].set < occB[j].set) {
+      ++i;
+    } else if (occB[j].set < occA[i].set) {
+      ++j;
+    } else {
+      conflicts += occA[i++].lines * occB[j++].lines;
+    }
   }
-  conflictMemo_.emplace(key, conflicts);
+  return conflicts;
+}
+
+void L2ContentionAwareScheduler::accumulate(ProcessId process,
+                                            std::int64_t sign) {
+  for (const SetLines& entry : row(process)) {
+    runningOccupancy_[entry.set] += sign * entry.lines;
+  }
+}
+
+std::int64_t L2ContentionAwareScheduler::conflictsWithRunning(
+    ProcessId candidate) const {
+  // Sum over running p of dot(occ[candidate], occ[p]) =
+  // dot(occ[candidate], Sum over running p of occ[p]): the same int64
+  // value the per-pair sum gives, in O(nonzero sets of the candidate).
+  std::int64_t conflicts = 0;
+  for (const SetLines& entry : row(candidate)) {
+    conflicts += entry.lines * runningOccupancy_[entry.set];
+  }
   return conflicts;
 }
 
 void L2ContentionAwareScheduler::onReady(ProcessId process) {
+  // Every row() index below comes from a ready entry.
+  check(process + 1 < rowStart_.size(),
+        "L2ContentionAwareScheduler: unknown process");
   ready_.push_back(process);
 }
 
@@ -127,6 +162,13 @@ std::optional<ProcessId> L2ContentionAwareScheduler::pickNext(
     std::size_t core, std::optional<ProcessId> previous) {
   check(core < runningOn_.size(), "L2ContentionAwareScheduler: unknown core");
   if (ready_.empty()) return std::nullopt;
+  // The picking core's own slot is about to be overwritten, so whatever
+  // it still holds never penalizes the candidates: leave it out of the
+  // running set before scoring.
+  if (runningOn_[core]) {
+    accumulate(*runningOn_[core], -1);
+    runningOn_[core].reset();
+  }
   // Scoring in double is exact, hence platform-identical: every operand
   // is an integer count far below 2^53 (converted exactly), and with the
   // default conflictWeight of 1.0 every product and difference stays
@@ -140,15 +182,10 @@ std::optional<ProcessId> L2ContentionAwareScheduler::pickNext(
   bool haveBest = false;
   for (std::size_t i = 0; i < ready_.size(); ++i) {
     const ProcessId candidate = ready_[i];
-    std::int64_t conflicts = 0;
-    for (std::size_t c = 0; c < runningOn_.size(); ++c) {
-      if (c == core || !runningOn_[c]) continue;
-      conflicts += conflictBetween(candidate, *runningOn_[c]);
-    }
     // LINT-ALLOW(no-float): exact integer-valued score, see note above
     const double score = LocalityScore::contendedScore(
         score_.sharing(previous, candidate), options_.conflictWeight,
-        conflicts);
+        conflictsWithRunning(candidate));
     const std::int64_t seq = aging_.seqOf(candidate);
     // Equal score: ArrivalAging decides (earliest arrival in open
     // workloads, plain ready-order FIFO in closed ones).
@@ -165,12 +202,16 @@ std::optional<ProcessId> L2ContentionAwareScheduler::pickNext(
   const ProcessId chosen = ready_[bestIdx];
   ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(bestIdx));
   runningOn_[core] = chosen;
+  accumulate(chosen, +1);
   return chosen;
 }
 
 void L2ContentionAwareScheduler::stopRunning(ProcessId process) {
   for (auto& slot : runningOn_) {
-    if (slot == std::optional<ProcessId>{process}) slot.reset();
+    if (slot == std::optional<ProcessId>{process}) {
+      slot.reset();
+      accumulate(process, -1);
+    }
   }
 }
 

@@ -12,7 +12,7 @@
 /// bench quantifies the difference against static LS.
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "cache/config.h"
@@ -107,6 +107,13 @@ struct L2ContentionOptions {
 /// shared cache even though they share nothing, which is exactly the
 /// regime the contention ablation (bench_ablation) measures.
 ///
+/// Conflicts are linear in the running set: the policy keeps one
+/// aggregate occupancy vector over the L2 sets for the processes
+/// running now, updated at each dispatch and stop, and scores a
+/// candidate with one dot product over its nonzero sets. The pairwise
+/// form it replaces is the differential oracle
+/// LegacyL2ContentionAwareScheduler (tests/oracles/).
+///
 /// Requires SchedContext::workload and ::space (footprints are indexed
 /// through the live address layout, so LSM re-layouts shift the
 /// conflict structure the policy sees).
@@ -124,31 +131,45 @@ class L2ContentionAwareScheduler final : public SchedulerPolicy {
   void onExit(ProcessId process) override;
   [[nodiscard]] std::string name() const override { return "CALS"; }
 
-  /// Co-mapped L2 line pairs of two processes' footprints (exposed for
-  /// tests; lazily computed and memoized).
-  [[nodiscard]] std::int64_t conflictBetween(ProcessId a, ProcessId b);
+  /// Co-mapped L2 line pairs of two processes' footprints: the dot
+  /// product of their set occupancies (exposed for tests; computed on
+  /// each call, O(nonzero sets of both)).
+  [[nodiscard]] std::int64_t conflictBetween(ProcessId a, ProcessId b) const;
 
   [[nodiscard]] const LocalityScore* localityScore() const override {
     return &score_;
   }
 
  private:
+  /// Lines a footprint maps into one L2 set.
+  struct SetLines {
+    std::size_t set = 0;
+    std::int64_t lines = 0;
+  };
+
+  /// \p process's nonzero sets, in ascending set order.
+  [[nodiscard]] std::span<const SetLines> row(ProcessId process) const;
   void stopRunning(ProcessId process);
+  /// Adds \p sign x \p process's occupancy to runningOccupancy_.
+  void accumulate(ProcessId process, std::int64_t sign);
+  /// Co-mapped line pairs of \p candidate with every running process.
+  [[nodiscard]] std::int64_t conflictsWithRunning(ProcessId candidate) const;
 
   L2ContentionOptions options_;
   LocalityScore score_;  ///< the one scoring arithmetic (sharing+conflict)
   std::vector<ProcessId> ready_;
-  /// Per-process line occupancy of the L2 set space (n x numSets).
-  std::vector<std::vector<std::int64_t>> occupancy_;
-  /// Memoized pairwise conflict scores, keyed min(a,b) * n + max(a,b).
-  /// Lookup-only: accessed exclusively through find/emplace on a
-  /// symmetric key, never iterated, so hash order cannot reach any
-  /// result (order-insensitivity pinned by ConflictMemoOrderInsensitive
-  /// in tests/sched/policies_test.cpp).
-  // LINT-ALLOW(unordered-container): find/emplace only, never iterated; test-pinned
-  std::unordered_map<std::uint64_t, std::int64_t> conflictMemo_;
+  /// Per-process line occupancy of the L2 set space, sparse and
+  /// flattened: process p's row is occupancy_[rowStart_[p],
+  /// rowStart_[p + 1]). One buffer rather than a heap block per
+  /// process keeps the peak RSS of a process that runs many
+  /// experiments steady.
+  std::vector<SetLines> occupancy_;
+  std::vector<std::size_t> rowStart_;
   /// runningOn_[core] = process currently executing there.
   std::vector<std::optional<ProcessId>> runningOn_;
+  /// Sum of occupancy_ over the runningOn_ slots, dense over the sets
+  /// (the running-set aggregate of the class comment).
+  std::vector<std::int64_t> runningOccupancy_;
   ArrivalAging aging_;  // open-workload tie-break (see ArrivalAging)
 };
 
