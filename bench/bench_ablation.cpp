@@ -79,10 +79,8 @@ void contentionSweep(bool csv) {
         const Job& job = jobs[i];
         ExperimentConfig config;
         // The composable platform descriptor (cache/platform.h): a
-        // broadcast-coherent bus MPSoC with a shared banked L2 —
-        // exactly what the legacy sharedL2/bus toggles resolved to, so
-        // the sweep stays byte-identical to its committed baseline.
-        PlatformConfig& platform = config.mpsoc.platform.emplace();
+        // broadcast-coherent bus MPSoC with a shared banked L2.
+        PlatformConfig& platform = config.mpsoc.platform;
         platform.interconnect = InterconnectKind::Bus;
         platform.sharedL2.emplace();
         platform.sharedL2->sizeBytes = job.l2Kb * 1024;

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/laps.h"
+#include "oracles/legacy_locality_plan.h"
 #include "synthetic_overhead.h"
 
 namespace {
@@ -209,9 +210,11 @@ void BM_LocalityPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalityPlan)->Arg(1)->Arg(6)->Arg(12)->Arg(24);
 
-// The pre-index Fig. 3 loops on the same instances: the merge script
-// derives vs_legacy_speedup from each (BM_LocalityPlanLegacy,
-// BM_LocalityPlan) pair, and check_bench_regression gates it.
+// The pre-index Fig. 3 loops (the legacy planner oracle,
+// tests/oracles/legacy_locality_plan.h) on the same instances: the
+// merge script derives vs_legacy_speedup from each
+// (BM_LocalityPlanLegacy, BM_LocalityPlan) pair, and
+// check_bench_regression gates it.
 void BM_LocalityPlanLegacy(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto suite = standardSuite();

@@ -7,11 +7,12 @@
 # already cover).
 #
 # Extra modes:
-#   lint        determinism lint over src/ (tools/determinism_lint.py;
-#               the static side of the determinism contract,
-#               docs/ARCHITECTURE.md §11) plus clang-tidy with the
-#               committed .clang-tidy profile when the binary is
-#               available (skipped with a notice otherwise);
+#   lint        determinism lint over src/ and tests/oracles/
+#               (tools/determinism_lint.py; the static side of the
+#               determinism contract, docs/ARCHITECTURE.md §11) plus
+#               clang-tidy with the committed .clang-tidy profile when
+#               the binary is available (skipped with a notice
+#               otherwise);
 #   audit       Debug build with -DLAPSCHED_AUDIT=ON — the LAPS_AUDIT
 #               runtime invariant checks execute in every hot layer —
 #               and the full test suite under it;
@@ -133,10 +134,12 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "tier1" ]; then
 fi
 
 if [ "$MODE" = "all" ] || [ "$MODE" = "lint" ]; then
-  # The determinism lint is the hard gate: src/ must be finding-free
-  # under the committed policy, every suppression justified.
+  # The determinism lint is the hard gate: src/ and the test oracles
+  # the differentials compare it against must be finding-free under the
+  # committed policy, every suppression justified.
   if command -v python3 >/dev/null 2>&1; then
     python3 tools/determinism_lint.py
+    python3 tools/determinism_lint.py --root tests/oracles
     python3 tests/tools/lint_selftest.py
   else
     echo "ci.sh: python3 not found; cannot run the determinism lint" >&2

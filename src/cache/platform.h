@@ -1,23 +1,14 @@
 #pragma once
 /// \file platform.h
 /// \brief Composable platform descriptor: cores × interconnect ×
-/// coherence, replacing MpsocConfig's accreted optional toggles.
+/// coherence.
 ///
-/// Before this redesign the shared-level shape was spread over two
-/// independent optionals (`MpsocConfig::sharedL2`, `MpsocConfig::bus`)
-/// whose four combinations were validated in the engine, and adding the
-/// NoC would have made that eight. PlatformConfig collapses the axes
-/// into one descriptor validated eagerly in one place:
+/// The shared-level shape is three orthogonal axes in one descriptor
+/// (MpsocConfig::platform), validated eagerly in one place:
 ///
 ///   interconnect  Flat | Bus | Mesh | Xbar   (how misses travel)
 ///   coherence     Broadcast | Directory      (how inclusion recalls)
 ///   sharedL2      optional banked inclusive L2 (orthogonal to both)
-///
-/// The legacy fields still work: MpsocConfig::resolvedPlatform() maps
-/// them onto the equivalent descriptor (a thin deprecation shim), so
-/// every existing call site and committed baseline stays byte-identical
-/// — setting both surfaces at once is an eager error, not a silent
-/// precedence rule.
 
 #include <optional>
 #include <string_view>

@@ -91,12 +91,10 @@ ExperimentResult runExperiment(const Workload& workload, SchedulerKind kind,
   }
 
   SchedulerParams schedParams = config.sched;
-  const PlatformConfig platform = config.mpsoc.resolvedPlatform();
-  if (kind == SchedulerKind::L2ContentionAware && platform.sharedL2) {
-    // The contention-aware policy should reason about the L2 the
-    // platform actually has — whichever config surface declared it.
-    schedParams.l2Contention.l2Geometry =
-        platform.sharedL2->aggregateConfig();
+  const std::optional<SharedL2Config>& l2 = config.mpsoc.platform.sharedL2;
+  if (kind == SchedulerKind::L2ContentionAware && l2) {
+    // The contention-aware policy reasons about the L2 the platform has.
+    schedParams.l2Contention.l2Geometry = l2->aggregateConfig();
   }
   const std::unique_ptr<SchedulerPolicy> policy =
       makeScheduler(kind, schedParams);

@@ -82,25 +82,15 @@ struct LocalityOptions {
 /// row-sum totals for the initial trim (O(|IN|²) instead of O(|IN|³)),
 /// cached indegree counters instead of the per-candidate predecessor
 /// walk, and a linear argmax over the ready list for the greedy pick.
-/// The plan is identical — element for element — to
-/// buildLocalityPlanLegacy below; the differential tests in
-/// tests/sched/plan_index_test.cpp and the equality argument in
-/// docs/ARCHITECTURE.md §12 pin it.
+/// The plan is identical — element for element — to the pre-index
+/// loops (the buildLocalityPlanLegacy oracle in tests/oracles/); the
+/// differential tests in tests/sched/plan_index_test.cpp and the
+/// equality argument in docs/ARCHITECTURE.md §12 pin it.
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,
                                              const LocalityOptions& options = {},
                                              std::span<const ProcessId> subset = {});
-
-/// The pre-index reference implementation: the Fig. 3 loops exactly as
-/// written — O(|IN|³) trim, full candidate rescans with a predecessor
-/// walk per candidate. Kept as the differential-test oracle and the
-/// baseline arm of bench_policy_overhead / BM_LocalityPlanLegacy; new
-/// code should call buildLocalityPlan.
-[[nodiscard]] LocalityPlan buildLocalityPlanLegacy(
-    const ExtendedProcessGraph& graph, const SharingMatrix& sharing,
-    std::size_t coreCount, const LocalityOptions& options = {},
-    std::span<const ProcessId> subset = {});
 
 /// The online Fig. 3 dispatch rule shared by LS and the open-workload
 /// replanner (OLS's steal fallback): among ready processes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "sim/replay.h"
 #include "util/audit.h"
@@ -41,10 +40,8 @@ MpsocSimulator::MpsocSimulator(const Workload& workload,
   config_.memory.l1d.validate();
   if (config_.memory.modelICache) config_.memory.l1i.validate();
   // One eager validation point for the whole shared-level shape: the
-  // descriptor (or its legacy-field equivalent) checks each enabled
-  // component plus the cross-field rules.
-  platform_ = config_.resolvedPlatform();
-  platform_.validate(config_.coreCount);
+  // descriptor checks each enabled component plus the cross-field rules.
+  config_.platform.validate(config_.coreCount);
   config_.admission.validate();
 }
 
@@ -68,9 +65,10 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   std::int64_t switchOverhead = 0;
   if (faultsActive_ && migrationPenaltyDue_[process]) {
     migrationPenaltyDue_[process] = false;
+    const FaultPlan& plan = *config_.faults;
     const std::int64_t penalty =
-        config_.faults->migrationPenaltyCycles +
-        (platform_.sharedL2 ? config_.faults->l2RewarmPenaltyCycles : 0);
+        plan.migrationPenaltyCycles +
+        (config_.platform.sharedL2 ? plan.l2RewarmPenaltyCycles : 0);
     switchOverhead += penalty;
     result_.faults.migrationPenaltyCycles +=
         static_cast<std::uint64_t>(penalty);
@@ -88,10 +86,11 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
     // On a NoC the resume's warm state moves across the die: charge the
     // distance-scaled penalty outside the quantum, like switch overhead.
     // migrationHopCycles defaults to 0, keeping pre-NoC runs exact.
-    if (platform_.nocEnabled() && platform_.noc.migrationHopCycles > 0) {
+    const NocConfig& noc = config_.platform.noc;
+    if (config_.platform.nocEnabled() && noc.migrationHopCycles > 0) {
       const NocTopology& topo = hierarchy_->noc()->topology();
       const std::int64_t penalty =
-          platform_.noc.migrationHopCycles *
+          noc.migrationHopCycles *
           topo.hops(static_cast<std::int64_t>(*lastRanOn_[process]),
                     static_cast<std::int64_t>(coreIdx));
       switchOverhead += penalty;
@@ -283,7 +282,8 @@ void MpsocSimulator::takeCoreDown(std::size_t coreIdx, std::int64_t now,
     ++result_.faults.coreFailures;
   } else {
     ++result_.faults.coreOutages;
-    recoveryQueue_.emplace(now + config_.faults->outageDownCycles, coreIdx);
+    events_.push({now + config_.faults->outageDownCycles,
+                  SimEventSource::Recovery, coreIdx});
   }
   policy_->onCoreDown(coreIdx);
 }
@@ -393,34 +393,38 @@ void MpsocSimulator::handleCrash(ProcessId process, std::size_t coreIdx,
   if (crashCount_[process] > retry.maxAttempts) {
     markDeparted(process, coreIdx, now, DepartureReason::Failed);
   } else {
-    retryQueue_.emplace(
-        now + retryBackoffCycles(retry, crashCount_[process], retryJitterRng_),
-        process);
+    events_.push(
+        {now + retryBackoffCycles(retry, crashCount_[process], retryJitterRng_),
+         SimEventSource::Retry, process});
     ++result_.faults.retriesScheduled;
   }
 }
 
-void MpsocSimulator::admitBatch(std::size_t batchIdx, std::int64_t now) {
+void MpsocSimulator::admit(std::span<const ProcessId> members,
+                           std::int64_t now, bool retry) {
   // Admission control first, then every admitted arrival is announced
   // before any readiness: replanning policies patch their plan with the
   // whole batch in view before the first dispatch decision against it,
-  // and rejected processes are non-events to the policy.
-  const ArrivalBatch& batch = arrivalBatches_[batchIdx];
-  for (const ProcessId p : batch.members) {
+  // and rejected processes are non-events to the policy. A retry goes
+  // through admission like any other arrival, so QueueCap/SloShed can
+  // shed it under overload — a shed retry permanently fails the process.
+  for (const ProcessId p : members) {
     if (!admission_.admit(inSystem_ - runningCount_)) {
-      markDeparted(p, 0, now, DepartureReason::Rejected);
+      if (retry) ++result_.faults.retriesShed;
+      markDeparted(p, 0, now,
+                   retry ? DepartureReason::Failed : DepartureReason::Rejected);
       continue;
     }
     arrived_[p] = true;
     ++inSystem_;
-    result_.processes[p].arrivalCycle = now;
+    if (!retry) result_.processes[p].arrivalCycle = now;
     liveSharing_.addProcess(footprints_, p);
     policy_->onArrival(p);
   }
   // announceReady's exactly-once guard matters here: an in-batch
   // rejection may have already released an admitted batch member via
   // markDeparted's dependent release.
-  for (const ProcessId p : batch.members) {
+  for (const ProcessId p : members) {
     if (arrived_[p] && remainingPreds_[p] == 0) announceReady(p);
   }
   // The incremental row updates must leave the matrix exactly where a
@@ -442,7 +446,7 @@ SimResult MpsocSimulator::run() {
   result_.coreIdleCycles.assign(config_.coreCount, 0);
 
   hierarchy_ = std::make_shared<MemoryHierarchy>(
-      config_.memory.memLatencyCycles, platform_, config_.coreCount,
+      config_.memory.memLatencyCycles, config_.platform, config_.coreCount,
       config_.memory.l1d.lineBytes);
   cores_.clear();
   for (std::size_t c = 0; c < config_.coreCount; ++c) {
@@ -517,8 +521,8 @@ SimResult MpsocSimulator::run() {
       }
     }
     for (std::size_t k = 0; k < tasks.size(); ++k) {
-      // result_.processes[p].arrivalCycle is stamped by admitBatch —
-      // every batch is eventually admitted (the event loop drains
+      // result_.processes[p].arrivalCycle is stamped by admit — every
+      // batch is eventually admitted (the event loop drains
       // arrivalBatches_ completely).
       result_.cohorts[k].arrivalCycle = cohortArrival_[k];
       result_.cohorts[k].completionCycle = cohortArrival_[k];
@@ -550,8 +554,7 @@ SimResult MpsocSimulator::run() {
   crashPending_.assign(config_.coreCount, false);
   crashCount_.assign(n, 0);
   migrationPenaltyDue_.assign(n, false);
-  retryQueue_ = TimedEventQueue{};
-  recoveryQueue_ = TimedEventQueue{};
+  events_ = SimEventQueue{};
 
   const SchedContext context{&workload_->graph,
                              openWorkload_ ? &liveSharing_ : sharing_,
@@ -565,14 +568,25 @@ SimResult MpsocSimulator::run() {
       announceReady(p);
     }
   }
+  // The arrival list and the fault timeline are lazy: each keeps
+  // exactly one entry in the queue, its head, and pushes the next when
+  // that entry pops.
   std::size_t nextBatch = 0;
   if (openWorkload_ && arrivalBatches_[0].cycle == 0) {
-    admitBatch(nextBatch++, 0);
+    admit(arrivalBatches_[0].members, 0, /*retry=*/false);
+    nextBatch = 1;
   }
-
-  // Busy cores, ordered by segment end time (core index breaks ties).
-  using Event = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  const auto pushNextBatch = [&] {
+    if (nextBatch < arrivalBatches_.size()) {
+      events_.push({arrivalBatches_[nextBatch].cycle, SimEventSource::Arrival,
+                    nextBatch});
+    }
+  };
+  const auto pushNextInjection = [&] {
+    events_.push({faultTimeline_->peek().cycle, SimEventSource::Injection, 0});
+  };
+  pushNextBatch();
+  if (faultsActive_) pushNextInjection();
 
   // Offers work to an idle core; returns true when a segment started.
   // A picked process whose lifetime already expired is retired on the
@@ -600,13 +614,8 @@ SimResult MpsocSimulator::run() {
       running[p] = true;
       ++runningCount_;
       const std::int64_t end = runSegment(coreIdx, p, now);
-      events.emplace(end, coreIdx);
+      events_.push({end, SimEventSource::Core, coreIdx});
       return true;
-    }
-  };
-  const auto offerIdleCores = [&](std::int64_t now) {
-    for (std::size_t c = 0; c < config_.coreCount; ++c) {
-      if (!cores_[c].current) offer(c, now);
     }
   };
 
@@ -614,90 +623,37 @@ SimResult MpsocSimulator::run() {
     offer(c, 0);
   }
 
-  // The event loop merges five sources in fixed priority at equal
-  // cycles: arrivals, then crash retries, then outage recoveries, then
-  // fault injections, then core events. Arrivals-before-core-events is
-  // the PR 5 discipline (a core freeing at t must see the processes
-  // arriving at t) extended to the fault sources; injections beat core
-  // events so a fault at t lands on the segment ending at t. The fault
-  // timeline is infinite, so injections never keep the loop alive by
-  // themselves — one is consumed only when due at or before the next
-  // real event. Recoveries alone sustain the loop only while processes
-  // remain (an all-cores-down platform must wake up to finish them).
+  // One pop and one dispatch per iteration, in SimEvent order. The
+  // fault timeline is infinite, so its one pending injection never
+  // keeps the loop alive by itself, and recoveries never outlive the
+  // last departure (an all-cores-down platform wakes up only while
+  // processes remain). After every event each idle core is offered
+  // work: new readiness, a recovered core or a re-homed plan may have
+  // unblocked it.
   constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  const std::size_t injectionEntries = faultsActive_ ? 1 : 0;
   std::int64_t now = 0;
-  while (!events.empty() || nextBatch < arrivalBatches_.size() ||
-         !retryQueue_.empty() ||
-         (departedCount_ < n && !recoveryQueue_.empty())) {
-    const std::int64_t nextArrival =
-        nextBatch < arrivalBatches_.size() ? arrivalBatches_[nextBatch].cycle
-                                           : kNever;
-    const std::int64_t nextRetry =
-        retryQueue_.empty() ? kNever : retryQueue_.top().first;
-    const std::int64_t nextRecovery =
-        recoveryQueue_.empty() ? kNever : recoveryQueue_.top().first;
-    const std::int64_t nextCore = events.empty() ? kNever : events.top().first;
-    const std::int64_t t = std::min(std::min(nextArrival, nextRetry),
-                                    std::min(nextRecovery, nextCore));
-    const std::int64_t nextInjection =
-        faultsActive_ ? faultTimeline_->peek().cycle : kNever;
-
-    // An injection strictly earlier than every real event applies
-    // first; at equal cycles the sources drain in the documented
-    // priority (arrival, retry, recovery, injection, core), handled by
-    // the second injection branch below. t is a real event (the loop
-    // condition holds), so the timeline never sustains the loop.
-    if (faultsActive_ && nextInjection < t) {
-      const FaultEvent event = faultTimeline_->pop();
-      LAPS_AUDIT(audit::cycleMonotone(now, event.cycle));
-      now = event.cycle;
-      applyFault(event, now);
-      offerIdleCores(now);
-      continue;
-    }
-
-    if (nextArrival <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      admitBatch(nextBatch++, now);
-      offerIdleCores(now);
-      continue;
-    }
-    if (nextRetry <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      const auto p = static_cast<ProcessId>(retryQueue_.top().second);
-      retryQueue_.pop();
-      // A retry re-enters through admission control like any other
-      // arrival, so QueueCap/SloShed can shed it under overload — a
-      // shed retry permanently fails the process.
-      if (!admission_.admit(inSystem_ - runningCount_)) {
-        ++result_.faults.retriesShed;
-        markDeparted(p, 0, now, DepartureReason::Failed);
-      } else {
-        arrived_[p] = true;
-        ++inSystem_;
-        // result_.processes[p].arrivalCycle keeps the ORIGINAL arrival:
-        // sojourn and the lifetime deadline are measured from when the
-        // request first entered, so crashes cannot launder SLO time.
-        liveSharing_.addProcess(footprints_, p);
-        policy_->onArrival(p);
-        if (remainingPreds_[p] == 0) announceReady(p);
-        LAPS_AUDIT(liveSharing_.auditInvariants());
-        LAPS_AUDIT(audit::activeSetAgreement(liveSharing_, arrived_,
-                                             completed_, inSystem_));
+  while (departedCount_ < n && events_.size() > injectionEntries) {
+    const SimEvent event = events_.top();
+    events_.pop();
+    LAPS_AUDIT(audit::cycleMonotone(now, event.cycle));
+    now = event.cycle;
+    switch (event.source) {
+      case SimEventSource::Arrival:
+        admit(arrivalBatches_[event.id].members, now, /*retry=*/false);
+        nextBatch = event.id + 1;
+        pushNextBatch();
+        break;
+      case SimEventSource::Retry: {
+        const auto p = static_cast<ProcessId>(event.id);
+        admit({&p, 1}, now, /*retry=*/true);
+        break;
       }
-      offerIdleCores(now);
-      continue;
-    }
-    if (nextRecovery <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      const std::size_t c = recoveryQueue_.top().second;
-      recoveryQueue_.pop();
-      // A core permanently failed mid-outage never recovers; its queued
-      // recovery is simply dropped.
-      if (!corePermanentlyDown_[c]) {
+      case SimEventSource::Recovery: {
+        // A core permanently failed mid-outage never recovers; its
+        // queued recovery is simply dropped.
+        const std::size_t c = event.id;
+        if (corePermanentlyDown_[c]) break;
         coreDown_[c] = false;
         result_.faults.coreDownCycles +=
             static_cast<std::uint64_t>(now - coreDownSince_[c]);
@@ -707,70 +663,69 @@ SimResult MpsocSimulator::run() {
         core.memory->flushAll();  // the outage lost the caches
         core.lastScheduled.reset();
         policy_->onCoreUp(c);
+        break;
       }
-      offerIdleCores(now);
-      continue;
-    }
-    if (faultsActive_ && nextInjection <= t) {
-      const FaultEvent event = faultTimeline_->pop();
-      LAPS_AUDIT(audit::cycleMonotone(now, event.cycle));
-      now = event.cycle;
-      applyFault(event, now);
-      // onCoreDown may have re-homed planned work onto cores that were
-      // idle for lack of it.
-      offerIdleCores(now);
-      continue;
-    }
-
-    const auto [tc, coreIdx] = events.top();
-    events.pop();
-    // This branch is taken only when every pending arrival/retry/
-    // recovery is strictly later and every due injection has been
-    // applied (they all win ties), and popped event times never run
-    // backwards.
-    LAPS_AUDIT(audit::arrivalBeforeCore(tc, nextArrival));
-    LAPS_AUDIT(audit::faultBeforeCore(tc, nextInjection));
-    LAPS_AUDIT(audit::cycleMonotone(now, tc));
-    now = tc;
-    Core& core = cores_[coreIdx];
-    const ProcessId p = *core.current;
-    core.current.reset();
-    core.freeAt = now;
-    running[p] = false;
-    --runningCount_;
-    const bool crashed = faultsActive_ && crashPending_[coreIdx];
-    const bool displaced =
-        faultsActive_ && pendingCoreFault_[coreIdx] != PendingCoreFault::None;
-    if (crashed) {
-      // The crash point precedes the boundary, so it wins even over a
-      // finished trace (documented approximation, docs §13).
-      crashPending_[coreIdx] = false;
-      handleCrash(p, coreIdx, now);
-    } else if (cursors_[p]->done()) {
-      markDeparted(p, coreIdx, now, DepartureReason::Completed);
-    } else if (deadline(p) <= now) {
-      // The lifetime cap cut this segment: the process overstayed.
-      markDeparted(p, coreIdx, now, DepartureReason::Retired);
-    } else {
-      ++result_.preemptions;
-      policy_->onPreempt(p);
-      if (displaced) {
-        // Displaced by the core going down: progress is kept, but the
-        // resume pays the migration penalty (charged in runSegment).
-        migrationPenaltyDue_[p] = true;
-        ++result_.faults.faultMigrations;
+      case SimEventSource::Injection:
+        // onCoreDown may re-home planned work onto cores that were idle
+        // for lack of it (the offer below picks it up).
+        applyFault(faultTimeline_->pop(), now);
+        pushNextInjection();
+        break;
+      case SimEventSource::Core: {
+        // Every pending arrival/retry/recovery is strictly later and
+        // every due injection has been applied: they all win ties.
+        LAPS_AUDIT(audit::arrivalBeforeCore(
+            now, nextBatch < arrivalBatches_.size()
+                     ? arrivalBatches_[nextBatch].cycle
+                     : kNever));
+        LAPS_AUDIT(audit::faultBeforeCore(
+            now, faultsActive_ ? faultTimeline_->peek().cycle : kNever));
+        const std::size_t coreIdx = event.id;
+        Core& core = cores_[coreIdx];
+        const ProcessId p = *core.current;
+        core.current.reset();
+        core.freeAt = now;
+        running[p] = false;
+        --runningCount_;
+        const bool crashed = faultsActive_ && crashPending_[coreIdx];
+        const bool displaced =
+            faultsActive_ &&
+            pendingCoreFault_[coreIdx] != PendingCoreFault::None;
+        if (crashed) {
+          // The crash point precedes the boundary, so it wins even over
+          // a finished trace (documented approximation, docs §13).
+          crashPending_[coreIdx] = false;
+          handleCrash(p, coreIdx, now);
+        } else if (cursors_[p]->done()) {
+          markDeparted(p, coreIdx, now, DepartureReason::Completed);
+        } else if (deadline(p) <= now) {
+          // The lifetime cap cut this segment: the process overstayed.
+          markDeparted(p, coreIdx, now, DepartureReason::Retired);
+        } else {
+          ++result_.preemptions;
+          policy_->onPreempt(p);
+          if (displaced) {
+            // Displaced by the core going down: progress is kept, but
+            // the resume pays the migration penalty (charged in
+            // runSegment).
+            migrationPenaltyDue_[p] = true;
+            ++result_.faults.faultMigrations;
+          }
+        }
+        if (displaced) {
+          const bool permanent =
+              pendingCoreFault_[coreIdx] == PendingCoreFault::Failure;
+          pendingCoreFault_[coreIdx] = PendingCoreFault::None;
+          takeCoreDown(coreIdx, now, permanent);
+        }
+        // The finishing core first, then any core that was starved.
+        offer(coreIdx, now);
+        break;
       }
     }
-    if (displaced) {
-      const bool permanent =
-          pendingCoreFault_[coreIdx] == PendingCoreFault::Failure;
-      pendingCoreFault_[coreIdx] = PendingCoreFault::None;
-      takeCoreDown(coreIdx, now, permanent);
+    for (std::size_t c = 0; c < config_.coreCount; ++c) {
+      if (!cores_[c].current) offer(c, now);
     }
-    // The finishing core first, then any core that was starved — new
-    // readiness may have unblocked them.
-    offer(coreIdx, now);
-    offerIdleCores(now);
   }
 
   check(departedCount_ == n,

@@ -9,10 +9,9 @@
 ///    scheduler exploits;
 ///  * all cores share one MemoryHierarchy below the L1s: flat fixed-
 ///    latency memory by default (the paper platform), optionally a
-///    shared banked L2 and a bounded off-chip bus
-///    (MpsocConfig::sharedL2/bus), in which case a miss's latency
-///    depends on the absolute cycle it issues and the other cores'
-///    traffic;
+///    shared banked L2, a bounded off-chip bus or a NoC
+///    (MpsocConfig::platform), in which case a miss's latency depends
+///    on the absolute cycle it issues and the other cores' traffic;
 ///  * a process trace step costs: instruction-fetch latency + data-access
 ///    latency (2 on hit, 2+75 on miss with Table 2 defaults) + its
 ///    compute cycles;
@@ -37,8 +36,7 @@
 ///    reported separately from useful work (SimResult::switchOverheadCycles);
 ///  * with a FaultPlan (MpsocConfig::faults, docs §13; requires an
 ///    arrival schedule) the platform is unreliable: seeded fault events
-///    interleave with the event loop (arrivals, then retries, then
-///    recoveries, then injections, then core events at equal cycles).
+///    interleave with the other events of the one ordered queue.
 ///    A failing or transiently-outaged core goes down at its next
 ///    segment boundary (immediately when idle); its displaced process
 ///    is preempted with progress kept and pays a migration penalty on
@@ -49,16 +47,22 @@
 ///    backoff — admission control can shed the retry; a process out of
 ///    retry budget is permanently failed (SimResult::faults).
 ///
+/// Every moment the scheduler acts at comes out of one min-heap of
+/// SimEvents keyed (cycle, source, id); see SimEventSource for the
+/// tie-break order at equal cycles.
+///
 /// Traces replay either per event or run-length encoded
 /// (MpsocConfig::replayMode; see sim/replay.h) with bit-identical
 /// results. The simulation is fully deterministic: identical inputs
 /// (workload, layout, policy, config) produce identical results.
 
+#include <compare>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "layout/address_space.h"
@@ -69,6 +73,33 @@
 #include "trace/cursor.h"
 
 namespace laps {
+
+/// Where a SimEvent comes from, in tie-break order: at equal cycles the
+/// sources drain in enum order. Arrivals come before core events, so a
+/// core freeing at t sees the processes arriving at t; crash retries
+/// re-enter like arrivals; an injection beats the core event of its
+/// cycle, so a fault at t lands on the segment ending at t.
+enum class SimEventSource : std::uint8_t {
+  Arrival,    ///< id = arrival batch index
+  Retry,      ///< id = crashed process awaiting re-arrival
+  Recovery,   ///< id = transiently-down core coming back
+  Injection,  ///< id = 0; the fault timeline's next event
+  Core,       ///< id = core whose segment ends
+};
+
+/// One pending engine event. Ordered lexicographically by (cycle,
+/// source, id): within one source the smaller id goes first.
+struct SimEvent {
+  std::int64_t cycle = 0;
+  SimEventSource source = SimEventSource::Arrival;
+  std::size_t id = 0;
+
+  friend auto operator<=>(const SimEvent&, const SimEvent&) = default;
+};
+
+/// The engine's event queue: a min-heap on the SimEvent order.
+using SimEventQueue =
+    std::priority_queue<SimEvent, std::vector<SimEvent>, std::greater<>>;
 
 /// Runs one workload under one scheduling policy on the simulated MPSoC.
 class MpsocSimulator {
@@ -146,12 +177,16 @@ class MpsocSimulator {
   /// *temporary* crash departure (which may re-enter via a retry).
   void leaveSystem(ProcessId process);
 
-  /// Handles arrival batch \p batchIdx at \p now (one cohort in cohort
-  /// granularity, one process in per-process granularity): consults
-  /// admission control per process, activates admitted rows in the live
-  /// sharing matrix, announces onArrival for every admitted process
-  /// before any onReady.
-  void admitBatch(std::size_t batchIdx, std::int64_t now);
+  /// Admits \p members at \p now: one arrival batch (a cohort, or a
+  /// single process in per-process granularity), or with \p retry a
+  /// crashed process re-entering after its backoff. Consults admission
+  /// control per process (a shed arrival departs Rejected, a shed retry
+  /// Failed), activates admitted rows in the live sharing matrix and
+  /// announces onArrival for every admitted process before any onReady.
+  /// Only a first arrival stamps the arrival cycle: a retry keeps the
+  /// original, so crashes cannot launder SLO time.
+  void admit(std::span<const ProcessId> members, std::int64_t now,
+             bool retry);
 
   /// Applies injected fault \p event at \p now: picks the target from
   /// the Targets stream among the currently eligible cores/processes,
@@ -185,11 +220,6 @@ class MpsocSimulator {
   const SharingMatrix* sharing_;
   SchedulerPolicy* policy_;
   MpsocConfig config_;
-  /// The effective shared-level descriptor (config_.resolvedPlatform(),
-  /// validated once in the constructor) — the only platform shape the
-  /// engine reads after construction.
-  PlatformConfig platform_;
-
   std::shared_ptr<MemoryHierarchy> hierarchy_;  // shared by all cores
   std::vector<Core> cores_;
   std::vector<std::optional<ProcessTraceCursor>> cursors_;
@@ -246,14 +276,12 @@ class MpsocSimulator {
   std::vector<bool> crashPending_;          // per core: crash at boundary
   std::vector<std::uint32_t> crashCount_;   // per process
   std::vector<bool> migrationPenaltyDue_;   // per process: charge on resume
-  /// (cycle, id) min-heaps; ties break on the smaller id, so equal-cycle
-  /// retries/recoveries process in deterministic order.
-  using TimedEvent = std::pair<std::int64_t, std::size_t>;
-  using TimedEventQueue =
-      std::priority_queue<TimedEvent, std::vector<TimedEvent>, std::greater<>>;
-  TimedEventQueue retryQueue_;     // crashed processes awaiting re-arrival
-  TimedEventQueue recoveryQueue_;  // transiently-down cores
   /// @}
+
+  /// Every pending event: busy cores' segment ends, queued retries and
+  /// recoveries, and the heads of the two lazy streams (the next
+  /// arrival batch, the fault timeline's next injection).
+  SimEventQueue events_;
 
   /// \name Audit test seams (see the public ...ForTest setters)
   /// @{

@@ -72,8 +72,15 @@ std::optional<ProcessId> LegacyL2ContentionAwareScheduler::pickNext(
   check(core < runningOn_.size(),
         "LegacyL2ContentionAwareScheduler: unknown core");
   if (ready_.empty()) return std::nullopt;
+  // Scoring in double is exact, hence platform-identical: every operand
+  // is an integer count far below 2^53 (converted exactly), and with the
+  // default conflictWeight of 1.0 every product and difference stays
+  // integer-valued. A non-default weight keeps determinism as long as
+  // each operation is a single correctly-rounded IEEE op, which it is —
+  // the conflict counts are summed exactly in integers first, then
+  // combined once by LocalityScore::contendedScore.
   std::size_t bestIdx = 0;
-  double bestScore = 0.0;
+  double bestScore = 0.0;  // LINT-ALLOW(no-float): exact integer-valued score, see note above
   std::int64_t bestSeq = -1;
   bool haveBest = false;
   for (std::size_t i = 0; i < ready_.size(); ++i) {
@@ -83,6 +90,7 @@ std::optional<ProcessId> LegacyL2ContentionAwareScheduler::pickNext(
       if (c == core || !runningOn_[c]) continue;
       conflicts += conflictBetween(candidate, *runningOn_[c]);
     }
+    // LINT-ALLOW(no-float): exact integer-valued score, see note above
     const double score = LocalityScore::contendedScore(
         score_.sharing(previous, candidate), options_.conflictWeight,
         conflicts);

@@ -51,6 +51,7 @@ class LegacyL2ContentionAwareScheduler final : public SchedulerPolicy {
   std::vector<std::vector<std::int64_t>> occupancy_;
   /// Memoized pairwise conflict scores, keyed min(a,b) * n + max(a,b).
   /// Lookup-only (find/emplace on a symmetric key, never iterated).
+  // LINT-ALLOW(unordered-container): find/emplace only, never iterated; the key is order-insensitive
   std::unordered_map<std::uint64_t, std::int64_t> conflictMemo_;
   /// runningOn_[core] = process currently executing there.
   std::vector<std::optional<ProcessId>> runningOn_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "oracles/legacy_locality_plan.h"
 #include "util/error.h"
 
 namespace laps {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "oracles/legacy_locality_plan.h"
 #include "oracles/legacy_online_locality.h"
 
 namespace laps {

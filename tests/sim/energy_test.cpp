@@ -82,7 +82,7 @@ TEST(EnergyModel, ExperimentEnergyMatchesManualRecomputation) {
   for (const bool withL2 : {false, true}) {
     ExperimentConfig config;
     if (withL2) {
-      PlatformConfig& platform = config.mpsoc.platform.emplace();
+      PlatformConfig& platform = config.mpsoc.platform;
       platform.interconnect = InterconnectKind::Bus;
       platform.sharedL2.emplace();
     }

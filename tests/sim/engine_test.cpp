@@ -54,6 +54,43 @@ struct Rig {
   }
 };
 
+// The queue key is the engine's whole event-ordering contract: at equal
+// cycles arrival, retry, recovery, injection, core; within one source the
+// smaller id; and an earlier cycle beats every source.
+TEST(SimEventQueue, PopsInCycleSourceIdOrder) {
+  constexpr std::int64_t t = 100;
+  SimEventQueue queue;
+  queue.push({t, SimEventSource::Core, 1});
+  queue.push({t, SimEventSource::Core, 0});
+  queue.push({t, SimEventSource::Injection, 0});
+  queue.push({t, SimEventSource::Recovery, 3});
+  queue.push({t, SimEventSource::Recovery, 2});
+  queue.push({t, SimEventSource::Retry, 7});
+  queue.push({t, SimEventSource::Retry, 5});
+  queue.push({t, SimEventSource::Arrival, 4});
+  queue.push({t - 1, SimEventSource::Injection, 0});
+  queue.push({t + 1, SimEventSource::Arrival, 0});
+
+  const std::vector<SimEvent> expected = {
+      {t - 1, SimEventSource::Injection, 0},
+      {t, SimEventSource::Arrival, 4},
+      {t, SimEventSource::Retry, 5},
+      {t, SimEventSource::Retry, 7},
+      {t, SimEventSource::Recovery, 2},
+      {t, SimEventSource::Recovery, 3},
+      {t, SimEventSource::Injection, 0},
+      {t, SimEventSource::Core, 0},
+      {t, SimEventSource::Core, 1},
+      {t + 1, SimEventSource::Arrival, 0},
+  };
+  for (const SimEvent& want : expected) {
+    ASSERT_FALSE(queue.empty());
+    EXPECT_EQ(queue.top(), want);
+    queue.pop();
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
 TEST(MpsocSimulator, SingleProcessExactCycleCount) {
   // 4 reads within one 32B line: miss, hit, hit, hit.
   Rig rig;
@@ -382,8 +419,8 @@ TEST(MpsocSimulator, SharedL2StatsFlowIntoTheResult) {
   const SharingMatrix sharing =
       SharingMatrix::compute(rig.workload.footprints());
   MpsocConfig cfg = smallConfig(2);
-  cfg.sharedL2.emplace();
-  cfg.bus.emplace();
+  cfg.platform.interconnect = InterconnectKind::Bus;
+  cfg.platform.sharedL2.emplace();
   MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
   const SimResult r = sim.run();
   EXPECT_TRUE(r.sharedL2Enabled);
@@ -402,8 +439,8 @@ TEST(MpsocSimulator, ContentionIsDeterministic) {
     const SharingMatrix sharing =
         SharingMatrix::compute(rig.workload.footprints());
     MpsocConfig cfg = smallConfig(3);
-    cfg.sharedL2.emplace();
-    cfg.bus.emplace();
+    cfg.platform.interconnect = InterconnectKind::Bus;
+    cfg.platform.sharedL2.emplace();
     MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
     return sim.run();
   };
@@ -426,11 +463,10 @@ TEST(MpsocSimulator, ABoundedBusStretchesTheMakespan) {
         SharingMatrix::compute(rig.workload.footprints());
     MpsocConfig cfg = smallConfig(4);
     if (bounded) {
-      BusConfig bus;
-      bus.maxOutstanding = 1;
-      bus.latencyCycles = 75;
-      bus.widthBytes = 8;
-      cfg.bus = bus;
+      cfg.platform.interconnect = InterconnectKind::Bus;
+      cfg.platform.bus.maxOutstanding = 1;
+      cfg.platform.bus.latencyCycles = 75;
+      cfg.platform.bus.widthBytes = 8;
     }
     MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
     return sim.run().makespanCycles;
@@ -442,7 +478,7 @@ TEST(MpsocSimulator, ContentionAwarePolicyRunsEndToEnd) {
   const auto suite = standardSuite(AppParams{0.25});
   const Workload mix = concurrentScenario(suite, 2);
   ExperimentConfig config;
-  PlatformConfig& platform = config.mpsoc.platform.emplace();
+  PlatformConfig& platform = config.mpsoc.platform;
   platform.interconnect = InterconnectKind::Bus;
   platform.sharedL2.emplace();
   const auto r = runExperiment(mix, SchedulerKind::L2ContentionAware, config);

@@ -223,10 +223,9 @@ MpsocConfig contendedConfig(std::size_t cores) {
   l2.assoc = 2;
   l2.lineBytes = 32;
   l2.bankCount = 4;
-  cfg.sharedL2 = l2;
-  BusConfig bus;
-  bus.maxOutstanding = 2;
-  cfg.bus = bus;
+  cfg.platform.interconnect = InterconnectKind::Bus;
+  cfg.platform.sharedL2 = l2;
+  cfg.platform.bus.maxOutstanding = 2;
   return cfg;
 }
 
@@ -268,8 +267,8 @@ TEST(RunLengthReplay, ContendedSuitePaperSchedulers) {
   const Workload mix = concurrentScenario(suite, 3);
   for (const SchedulerKind kind : paperSchedulers()) {
     ExperimentConfig config;
-    config.mpsoc.sharedL2.emplace();
-    config.mpsoc.bus.emplace();
+    config.mpsoc.platform.interconnect = InterconnectKind::Bus;
+    config.mpsoc.platform.sharedL2.emplace();
     config.mpsoc.memory.classifyMisses = true;
     config.sched.rrsQuantumCycles = 2'000;
     config.mpsoc.replayMode = ReplayMode::PerEvent;
